@@ -1,13 +1,18 @@
 // google-benchmark microbenchmarks for the serving core: cold scheduling
 // latency (full synthesize→schedule pipeline, cache bypassed), cache-hit
-// latency (fingerprint + lookup + id rewrite), and the canonical-fingerprint
-// hash itself. items_per_second on the serve benchmarks is the single-worker
-// QPS figure quoted in docs/SERVING.md. Not a paper figure — engineering
-// instrumentation; BENCH_serve.json is the gated baseline.
+// latency by request-identity alias (lookup + id rewrite) and by canonical
+// fingerprint (compile + fingerprint + byte-verified lookup + id rewrite),
+// and the canonical-fingerprint hash itself. items_per_second on the serve
+// benchmarks is the single-worker QPS figure quoted in docs/SERVING.md. Not
+// a paper figure — engineering instrumentation; BENCH_serve.json is the
+// gated baseline.
 #include <cstddef>
+#include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
+#include "codegen/statement.hpp"
 #include "codegen/synthesize.hpp"
 #include "serve/core.hpp"
 #include "serve/fingerprint.hpp"
@@ -43,9 +48,9 @@ void BM_ServeScheduleCold(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeScheduleCold)->Arg(60)->Arg(120);
 
-/// Steady-state hit path: canonicalize + fingerprint the program, look the
-/// schedule up, rewrite ids back into request numbering. The latency a warm
-/// server answers repeat DAGs with.
+/// Steady-state hit path for a repeated request: the request-identity
+/// alias lookup and the id rewrite back into request numbering. The
+/// latency a warm server answers repeat requests with.
 void BM_ServeCacheHit(benchmark::State& state) {
   CoreConfig cfg;
   cfg.workers = 1;
@@ -63,6 +68,59 @@ void BM_ServeCacheHit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ServeCacheHit)->Arg(60)->Arg(120);
+
+/// `stmts` with adjacent independent statements swapped pairwise: the same
+/// dataflow DAG under a different tuple numbering.
+StatementList renumbered(StatementList stmts) {
+  auto reads = [](const Assign& s, VarId v) {
+    return (s.a.is_var() && s.a.var == v) || (s.b.is_var() && s.b.var == v);
+  };
+  for (std::size_t i = 0; i + 1 < stmts.size(); i += 2) {
+    const Assign& x = stmts[i];
+    const Assign& y = stmts[i + 1];
+    if (x.lhs != y.lhs && !reads(y, x.lhs) && !reads(x, y.lhs))
+      std::swap(stmts[i], stmts[i + 1]);
+  }
+  return stmts;
+}
+
+std::string render(const StatementList& stmts) {
+  std::string src;
+  for (const Assign& s : stmts) src += statement_to_string(s) + "\n";
+  return src;
+}
+
+/// Hit path for a request the alias index has never seen: a renumbered
+/// rendering of a cached program, made a new request identity every
+/// iteration by a trailing comment. Compiles, canonicalizes, byte-verifies
+/// against the entry and rewrites into the new numbering. The cache byte
+/// budget is small so the per-iteration aliases stop accruing early on.
+void BM_ServeCacheHitRenumbered(benchmark::State& state) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_bytes = 1u << 20;
+  ServeCore core(cfg);
+  GeneratorConfig gen;
+  gen.num_statements = static_cast<std::uint32_t>(state.range(0));
+  Rng rng = benchmark_rng(1990, 0);
+  const StatementList stmts = synthesize_benchmark(gen, rng).statements;
+  Request req;
+  req.verb = Verb::kSchedule;
+  req.source = render(stmts);
+  const Response primed = core.handle(req);  // insert the entry
+  if (primed.status != Status::kOk) state.SkipWithError(primed.error.c_str());
+  const std::string source = render(renumbered(stmts));
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    req.source = source + "# " + std::to_string(n++) + "\n";
+    const Response resp = core.handle(req);
+    if (resp.cache != CacheOutcome::kHit)
+      state.SkipWithError("expected a cache hit");
+    benchmark::DoNotOptimize(resp.body.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ServeCacheHitRenumbered)->Arg(120);
 
 /// Hit path with the full telemetry surface on: latency histograms (window
 /// included) plus a JSONL access-log line per request. The delta against

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "support/assert.hpp"
+#include "support/json.hpp"
 
 namespace bm {
 namespace {
@@ -18,29 +19,6 @@ std::string render_number(double v) {
 }
 
 }  // namespace
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 ArtifactWriter::ArtifactWriter(std::string dir, std::string experiment)
     : dir_(std::move(dir)), experiment_(std::move(experiment)) {
@@ -61,7 +39,7 @@ void ArtifactWriter::metric(const std::string& key, double value) {
 }
 
 void ArtifactWriter::metric(const std::string& key, const std::string& value) {
-  metrics_.push_back({key, json_quote(value)});
+  metrics_.push_back({key, json::quote(value)});
 }
 
 void ArtifactWriter::write_json(
@@ -70,22 +48,22 @@ void ArtifactWriter::write_json(
       std::filesystem::path(dir_) / (experiment_ + ".json");
   std::ofstream os(path);
   BM_REQUIRE(os.good(), "cannot open " + path.string() + " for writing");
-  os << "{\n  \"experiment\": " << json_quote(experiment_) << ",\n";
+  os << "{\n  \"experiment\": " << json::quote(experiment_) << ",\n";
   os << "  \"info\": {";
   for (std::size_t i = 0; i < info.size(); ++i) {
     os << (i ? ",\n           " : "\n           ")
-       << json_quote(info[i].first) << ": " << json_quote(info[i].second);
+       << json::quote(info[i].first) << ": " << json::quote(info[i].second);
   }
   os << "\n  },\n";
   os << "  \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     os << (i ? ",\n              " : "\n              ")
-       << json_quote(metrics_[i].key) << ": " << metrics_[i].rendered;
+       << json::quote(metrics_[i].key) << ": " << metrics_[i].rendered;
   }
   os << "\n  },\n";
   os << "  \"artifacts\": [";
   for (std::size_t i = 0; i < files_.size(); ++i) {
-    os << (i ? ", " : "") << json_quote(files_[i]);
+    os << (i ? ", " : "") << json::quote(files_[i]);
   }
   os << "]\n}\n";
   BM_REQUIRE(os.good(), "failed writing " + path.string());

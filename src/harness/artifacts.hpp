@@ -52,7 +52,4 @@ class ArtifactWriter {
   std::vector<Metric> metrics_;
 };
 
-/// JSON string escaping shared by the writer and bmrun's describe output.
-std::string json_quote(const std::string& s);
-
 }  // namespace bm

@@ -1,5 +1,7 @@
 #include "serve/core.hpp"
 
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -36,6 +38,42 @@ std::uint64_t gen_digest(const GeneratorConfig& g) {
   __builtin_memcpy(&prob_bits, &g.const_operand_prob, sizeof(prob_bits));
   h = mix2(h, prob_bits);
   return mix2(h, static_cast<std::uint64_t>(g.const_max));
+}
+
+// A new GeneratorConfig field must join gen_digest and request_identity.
+static_assert(sizeof(GeneratorConfig) == 32);
+
+template <typename T>
+void append_raw(std::string& out, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out.append(buf, sizeof(T));
+}
+
+/// Exact identity of a scheduling request for the cache's alias index:
+/// the verb, the config digest, and every request field the program and
+/// its rng stream are derived from. Fixed-width fields come first and the
+/// source (the only variable-length field) last, so two identities are
+/// equal bytes iff the requests agree on all of them.
+std::string request_identity(const Request& req, std::uint64_t digest) {
+  std::string id;
+  id.reserve(64 + req.source.size());
+  append_raw(id, static_cast<std::uint8_t>(req.verb));
+  append_raw(id, digest);
+  if (req.verb == Verb::kSynth) {
+    append_raw(id, req.base_seed);
+    append_raw(id, static_cast<std::uint64_t>(req.index));
+    append_raw(id, req.gen.num_statements);
+    append_raw(id, req.gen.num_variables);
+    append_raw(id, req.gen.num_constants);
+    append_raw(id, req.gen.const_operand_prob);
+    append_raw(id, req.gen.const_max);
+  } else {
+    append_raw(id, req.seed);
+    id += req.source;
+  }
+  return id;
 }
 
 }  // namespace
@@ -176,7 +214,8 @@ CancelToken ServeCore::submit(Request req, Callback cb) {
     } catch (const std::exception& e) {
       resp.id = pending->req.id;
       resp.status = Status::kError;
-      resp.error = e.what();
+      resp.error = client_error_text(e);
+      pending->timing.error = e.what();
     }
     pending->answer(resp);
     tel.worker_end();
@@ -205,7 +244,8 @@ Response ServeCore::handle(const Request& req) {
   } catch (const std::exception& e) {
     resp.id = req.id;
     resp.status = Status::kError;
-    resp.error = e.what();
+    resp.error = client_error_text(e);
+    timing.error = e.what();
   }
   telemetry_.worker_end();
   timing.status = resp.status;
@@ -310,40 +350,58 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   Response resp;
   resp.id = req.id;
 
-  SessionLease session(*this);
   const TimingModel timing = TimingModel::table1();
+  // The rng identity, hence the config digest, follows from the request
+  // alone: synth requests continue the synthesis stream of
+  // (base_seed, index) under their generator, source requests seed it.
+  const std::uint64_t rng_key =
+      req.verb == Verb::kSynth
+          ? mix2(mix2(req.base_seed, req.index), gen_digest(req.gen))
+          : mix2(0x5C4Ed01Eull, req.seed);
+  const std::uint64_t digest = config_digest(req.sched, timing, rng_key);
+
+  // Stage 0: a request answered before by a verified hit is answered again
+  // from the alias index, without its program. Verify requests need the
+  // DAG and no-cache requests stay off the cache, so both skip it.
+  std::string identity;
+  if (!req.no_cache && !req.verify) {
+    PhaseScope ps(telemetry_, rt, Phase::kCacheLookup);
+    identity = request_identity(req, digest);
+    ScheduleCache::Hit hit = cache_.lookup_alias(identity);
+    if (hit.found) {
+      resp.cache = CacheOutcome::kHit;
+      resp.fingerprint = fingerprint_hex(hit.fingerprint);
+      resp.stats = hit.stats;
+      resp.body = std::move(hit.schedule_text);
+      return resp;
+    }
+  }
+
+  SessionLease session(*this);
 
   // Stage 1: obtain the program and the scheduler's RNG stream. For synth
   // requests the scheduler continues the synthesis stream — the exact
   // sequence the experiment harness uses, so a synth request for
   // (base_seed, index) reproduces the harness schedule bit-for-bit.
-  // Attributed to kColdSchedule: synthesis/compilation runs even on the
-  // hit path (the fingerprint needs the program), and it is the same
-  // compute the cold path spends.
   Program program;
   Rng rng = benchmark_rng(req.base_seed, req.index);
-  std::uint64_t rng_key = 0;
   {
-    PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);
+    PhaseScope ps(telemetry_, rt, Phase::kSynthesize);
     if (req.verb == Verb::kSynth) {
-      const SynthesisResult synth = session->synthesize(req.gen, rng);
-      program = synth.program;
-      rng_key = mix2(mix2(req.base_seed, req.index), gen_digest(req.gen));
+      program = session->synthesize(req.gen, rng).program;
     } else {
       program = session->compile_source(req.source);
       rng = Rng(req.seed);
-      rng_key = mix2(0x5C4Ed01Eull, req.seed);
     }
   }
   BM_REQUIRE(!program.empty(), "program optimized to an empty block");
 
-  // Stage 2: cache probe under the canonical fingerprint.
+  // Stage 2: cache probe under the canonical fingerprint. A verified hit
+  // admits this request's identity to the alias index (second sighting).
   CanonicalProgram canon;
-  std::uint64_t digest = 0;
   {
     PhaseScope ps(telemetry_, rt, Phase::kFingerprint);
     canon = canonicalize_program(program);
-    digest = config_digest(req.sched, timing, rng_key);
     resp.fingerprint = fingerprint_hex(canon.fingerprint);
   }
 
@@ -352,7 +410,7 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
     {
       PhaseScope ps(telemetry_, rt, Phase::kCacheLookup);
       hit = cache_.lookup(canon.fingerprint, digest, canon.bytes,
-                          canon.inv_perm);
+                          canon.inv_perm, identity);
     }
     if (hit.found) {
       resp.cache = CacheOutcome::kHit;
@@ -416,6 +474,8 @@ std::string CoreStats::to_text() const {
   t += "cache-evictions " + std::to_string(cache.evictions) + "\n";
   t += "cache-entries " + std::to_string(cache.entries) + "\n";
   t += "cache-bytes " + std::to_string(cache.bytes) + "\n";
+  t += "cache-alias-hits " + std::to_string(cache.alias_hits) + "\n";
+  t += "cache-aliases " + std::to_string(cache.aliases) + "\n";
   return t;
 }
 

@@ -129,7 +129,7 @@ struct Server::Impl {
       } catch (const std::exception& e) {
         Response resp;
         resp.status = Status::kError;
-        resp.error = e.what();
+        resp.error = client_error_text(e);
         OrderedLock lock(conn->write_mu);
         if (!write_frame(conn->fd, encode_response(resp))) break;
         continue;

@@ -22,6 +22,11 @@ std::string errno_string(int err) {
 #endif
 }
 
+std::string client_error_text(const std::exception& e) {
+  if (const auto* err = dynamic_cast<const Error*>(&e)) return err->message();
+  return e.what();
+}
+
 namespace {
 
 const char* verb_name(Verb v) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 
@@ -70,6 +71,10 @@ struct Response {
 /// connection/worker threads, where std::strerror's shared buffer is a
 /// race (and a concurrency-mt-unsafe tidy finding).
 std::string errno_string(int err);
+
+/// The text a client is told when its request failed: a bm::Error's
+/// message() (no build-tree source location), any other exception's what().
+std::string client_error_text(const std::exception& e);
 
 // -- text payload codec ----------------------------------------------------
 

@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
+#include "support/json.hpp"
 
 namespace bm::serve {
 
@@ -94,6 +95,7 @@ void append_quantiles(std::string& out, const obs::LatencyBuckets& b) {
 const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kQueueWait: return "queue_wait";
+    case Phase::kSynthesize: return "synthesize";
     case Phase::kFingerprint: return "fingerprint";
     case Phase::kCacheLookup: return "cache_lookup";
     case Phase::kColdSchedule: return "cold_schedule";
@@ -179,6 +181,11 @@ void ServeTelemetry::append_access_log(const RequestTiming& t) {
     key(line, phase_name(static_cast<Phase>(p)));
     append_u64(line, t.phases[p].dur_us);
   }
+  if (!t.error.empty()) {
+    line += ',';
+    key(line, "error");
+    line += json::quote(t.error);
+  }
   line += "}\n";
 
   OrderedLock lock(log_mu_);
@@ -201,9 +208,10 @@ void ServeTelemetry::append_access_log(const RequestTiming& t) {
 
 /// Standalone Perfetto trace for one slow request: a parent `request` span
 /// on lane 0 plus one span per touched phase, each on its own named lane
-/// so overlapping attribution (cold_schedule accumulates around the
-/// fingerprint/cache phases) renders cleanly. Timestamps are daemon-uptime
-/// microseconds, so traces from one run are mutually comparable.
+/// so overlapping attribution (cache_lookup accumulates around the
+/// synthesize/fingerprint phases) renders cleanly. Timestamps are
+/// daemon-uptime microseconds, so traces from one run are mutually
+/// comparable.
 void ServeTelemetry::maybe_emit_slow_trace(const RequestTiming& t) {
   if (cfg_.slow_trace_us == 0 || cfg_.slow_trace_dir.empty()) return;
   if (t.total_us < cfg_.slow_trace_us) return;
@@ -337,6 +345,12 @@ std::string ServeTelemetry::stats_json(const CoreTotals& totals) const {
   out += ',';
   key(out, "bytes");
   append_u64(out, totals.cache.bytes);
+  out += ',';
+  key(out, "alias_hits");
+  append_u64(out, totals.cache.alias_hits);
+  out += ',';
+  key(out, "aliases");
+  append_u64(out, totals.cache.aliases);
   out += ',';
   key(out, "hit_ratio");
   append_fixed(out, hit_ratio);

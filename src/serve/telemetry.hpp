@@ -15,8 +15,8 @@
 //   - every request entering ServeCore is stamped with a monotonic
 //     server-side request id (rid) and its admission timestamp;
 //   - the processing pipeline attributes time to phases (queue-wait,
-//     fingerprint, cache lookup, cold schedule, verify, serialize,
-//     write-back) via PhaseScope RAII marks on a per-request
+//     synthesize, fingerprint, cache lookup, cold schedule, verify,
+//     serialize, write-back) via PhaseScope RAII marks on a per-request
 //     RequestTiming;
 //   - record() — called exactly once per request, after the response
 //     callback ran — folds the timing into the histograms, appends one
@@ -44,9 +44,13 @@ namespace bm::serve {
 
 /// Where a request's wall time went. kQueueWait is admission → worker
 /// pickup; kWriteBack is the response callback (the frame write on the
-/// network path). The scheduling phases mirror ServeCore::process_scheduling.
+/// network path). The scheduling phases mirror ServeCore::process_scheduling:
+/// kCacheLookup covers both cache probes (request identity, then canonical
+/// fingerprint), kSynthesize the synthesis or compilation of the program,
+/// and kColdSchedule the miss pipeline (DAG build and scheduling) only.
 enum class Phase : std::size_t {
   kQueueWait = 0,
+  kSynthesize,
   kFingerprint,
   kCacheLookup,
   kColdSchedule,
@@ -54,7 +58,7 @@ enum class Phase : std::size_t {
   kSerialize,
   kWriteBack,
 };
-inline constexpr std::size_t kNumPhases = 7;
+inline constexpr std::size_t kNumPhases = 8;
 
 /// Snake-case phase name, as used in stats JSON keys and access-log lines.
 const char* phase_name(Phase p);
@@ -68,6 +72,9 @@ struct RequestTiming {
   Status status = Status::kOk;
   CacheOutcome cache = CacheOutcome::kBypass;
   std::string fingerprint;      ///< response fingerprint (maybe empty)
+  /// status=error: the full diagnostic, source location included. It goes
+  /// to the access log only; the client gets client_error_text().
+  std::string error;
 
   std::uint64_t admit_us = 0;   ///< ServeTelemetry::now_us() at admission
   std::uint64_t total_us = 0;   ///< admission → answered
@@ -184,8 +191,8 @@ class ServeTelemetry {
 };
 
 /// RAII phase attribution: adds [construction, destruction) to `timing`'s
-/// slice for `p` on the telemetry time base. Re-entering a phase (the cold
-/// path passes through kColdSchedule twice: synthesis, then scheduling)
+/// slice for `p` on the telemetry time base. Re-entering a phase (a
+/// request that misses the alias index passes through kCacheLookup twice)
 /// accumulates durations and keeps the first start.
 class PhaseScope {
  public:

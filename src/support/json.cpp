@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -212,5 +213,28 @@ const Value* Value::find(std::string_view key) const {
 }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+std::string quote(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 }  // namespace bm::json

@@ -7,7 +7,8 @@
 // This is a *reader*, not a data model: parse(), then navigate with
 // find()/at() and unwrap with num()/str(). Writers in this repo emit JSON
 // by hand (harness/artifacts.cpp, obs/trace.cpp, serve/telemetry.cpp) —
-// keeping the two directions separate keeps both trivial.
+// keeping the two directions separate keeps both trivial — and share only
+// quote() for string values.
 #pragma once
 
 #include <cstdint>
@@ -60,5 +61,8 @@ struct Value {
 /// Parses one JSON document (the whole input must be consumed). Throws
 /// bm::Error with a byte offset on malformed input.
 Value parse(std::string_view text);
+
+/// `s` as a JSON string literal, quotes included.
+std::string quote(std::string_view s);
 
 }  // namespace bm::json

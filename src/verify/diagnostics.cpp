@@ -1,34 +1,12 @@
 #include "verify/diagnostics.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "support/json.hpp"
 
 namespace bm {
 
 namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string range_json(const TimeRange& r) {
   std::ostringstream os;
@@ -120,9 +98,9 @@ std::string VerifyReport::to_json() const {
      << "},\n  \"diagnostics\": [";
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const auto& d = diags_[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"code\": " << quote(d.code)
-       << ", \"severity\": " << quote(std::string(to_string(d.severity)))
-       << ", \"message\": " << quote(d.message);
+    os << (i ? ",\n    " : "\n    ") << "{\"code\": " << json::quote(d.code)
+       << ", \"severity\": " << json::quote(to_string(d.severity))
+       << ", \"message\": " << json::quote(d.message);
     if (d.barrier) os << ", \"barrier\": " << *d.barrier;
     if (d.witness) os << ", \"witness\": " << d.witness->to_json();
     os << "}";

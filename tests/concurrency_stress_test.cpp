@@ -9,7 +9,10 @@
 //  - ServeCore: stats_json()/stats() snapshots hammered concurrently with
 //    drain() while workers finish a gated backlog — the final partition
 //    invariant received == completed+rejected+cancelled+errors must hold
-//    and queued must reach zero.
+//    and queued must reach zero;
+//  - ServeCore: repeated requests racing alias hits, alias admissions and
+//    evictions in a cache smaller than the request set — every answer must
+//    equal its cold answer and the stats partition must stay exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -177,6 +180,83 @@ TEST(ConcurrencyStress, StatsSnapshotDuringDrain) {
     late_rejected = (r.status == Status::kRejected);
   });
   EXPECT_TRUE(late_rejected);
+}
+
+// ---------------------------------------------------------------------------
+// ServeCore: alias hits, alias admissions and evictions racing.
+
+TEST(ConcurrencyStress, AliasIndexRacesEvictions) {
+  constexpr int kThreads = 8;
+  constexpr int kItersPerThread = 100;
+
+  // 8 distinct requests (synth and source) against 4 cache entries: hits
+  // by alias, hits by fingerprint, misses and evictions all interleave.
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Request req;
+    req.verb = Verb::kSynth;
+    req.index = i;
+    req.gen.num_statements = 30;
+    requests.push_back(req);
+  }
+  for (std::uint64_t seed : {3u, 4u}) {
+    Request req;
+    req.verb = Verb::kSchedule;
+    req.seed = seed;
+    req.source = "c = a + b;\nf = d * e;\ng = c + f;\nh = g - a;\n";
+    requests.push_back(req);
+  }
+
+  std::vector<std::string> cold;
+  {
+    ServeCore reference(CoreConfig{});
+    for (Request req : requests) {
+      req.no_cache = true;
+      const Response resp = reference.handle(req);
+      ASSERT_EQ(resp.status, Status::kOk) << resp.error;
+      cold.push_back(resp.body);
+    }
+  }
+
+  CoreConfig cfg;
+  cfg.workers = 2;
+  cfg.cache_entries = 4;
+  ServeCore core(cfg);
+  std::atomic<int> bad{0};
+  auto client = [&](unsigned seed) {
+    std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
+    for (int i = 0; i < kItersPerThread; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      // Skewed toward the first four, so some entries stay hot enough for
+      // their aliases to be used while the rest churn.
+      const std::size_t k = (x % 3 != 0) ? x % 4 : x % requests.size();
+      const Response resp = core.handle(requests[k]);
+      if (resp.status != Status::kOk || resp.body != cold[k])
+        bad.fetch_add(1, std::memory_order_relaxed);  // mo: test tally
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back(client, static_cast<unsigned>(t + 1));
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(bad.load(), 0) << "an answer differed from its cold answer";
+  const CoreStats s = core.stats();
+  constexpr std::uint64_t kTotal = kThreads * kItersPerThread;
+  EXPECT_EQ(s.received, kTotal);
+  EXPECT_EQ(s.completed, kTotal);
+  EXPECT_EQ(s.received, s.completed + s.rejected + s.cancelled + s.errors);
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.cache.hits + s.cache.misses, kTotal)
+      << "every request must be classified exactly once";
+  EXPECT_LE(s.cache.alias_hits, s.cache.hits);
+  EXPECT_GT(s.cache.alias_hits, 0u);
+  EXPECT_GT(s.cache.evictions, 0u);
+  EXPECT_LE(s.cache.entries, 4u);
+  EXPECT_LE(s.cache.aliases, s.cache.entries * 2);  // <= 1 identity/request
+  EXPECT_EQ(s.cache.collisions, 0u);
 }
 
 }  // namespace

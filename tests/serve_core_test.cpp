@@ -1,6 +1,10 @@
 // ServeCore behavior (serve/core.hpp):
-//  - cache-hit responses are byte-identical to cold-computed ones across
-//    the 100-program golden-parity grid (all four policy/machine combos);
+//  - cache-hit responses, by fingerprint and by request-identity alias, are
+//    byte-identical to cold-computed ones across the 100-program
+//    golden-parity grid (all four policy/machine combos);
+//  - the alias key is exact (one source byte, one generator field, or the
+//    seed changed never alias-hits), verify/no-cache requests bypass the
+//    alias index, and aliases live and die with their entry;
 //  - synth responses reproduce the harness/golden schedules exactly;
 //  - renumbered resubmissions of an explicit program hit the cache and
 //    still receive schedules in their own numbering;
@@ -67,19 +71,210 @@ TEST(ServeCore, CacheHitsAreByteIdenticalToColdAcrossGoldenGrid) {
         const Response cold = core.handle(req);
         ASSERT_EQ(cold.status, Status::kOk) << cold.error;
         ASSERT_EQ(cold.cache, CacheOutcome::kMiss);
-        const Response hit = core.handle(req);
-        ASSERT_EQ(hit.status, Status::kOk) << hit.error;
-        ASSERT_EQ(hit.cache, CacheOutcome::kHit);
-        ASSERT_EQ(response_key(cold), response_key(hit))
-            << "insertion=" << static_cast<int>(ins)
-            << " machine=" << static_cast<int>(mach) << " seed=" << i;
+        // Second sighting hits by fingerprint, third by alias.
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          const Response hit = core.handle(req);
+          ASSERT_EQ(hit.status, Status::kOk) << hit.error;
+          ASSERT_EQ(hit.cache, CacheOutcome::kHit);
+          ASSERT_EQ(response_key(cold), response_key(hit))
+              << "insertion=" << static_cast<int>(ins)
+              << " machine=" << static_cast<int>(mach) << " seed=" << i
+              << " repeat=" << repeat;
+        }
         ++checked;
       }
   EXPECT_EQ(checked, 100u);
   const CoreStats stats = core.stats();
-  EXPECT_EQ(stats.cache.hits, 100u);
+  EXPECT_EQ(stats.cache.hits, 200u);
+  EXPECT_EQ(stats.cache.alias_hits, 100u);
   EXPECT_EQ(stats.cache.misses, 100u);
   EXPECT_EQ(stats.cache.collisions, 0u);
+  EXPECT_EQ(stats.cache.aliases, 100u);
+}
+
+Request source_request(std::uint64_t id, std::string source,
+                       std::uint64_t seed = 7) {
+  Request req;
+  req.id = id;
+  req.verb = Verb::kSchedule;
+  req.seed = seed;
+  req.source = std::move(source);
+  return req;
+}
+
+const char* const kSource =
+    "c = a + b;\n"
+    "f = d * e;\n"
+    "g = c + f;\n"
+    "h = g - a;\n";
+
+std::uint64_t alias_hits(const ServeCore& core) {
+  return core.stats().cache.alias_hits;
+}
+
+TEST(ServeCore, ThirdIdenticalRequestIsAnAliasHitEqualToCold) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  ServeCore core(cfg);
+  const Request requests[] = {
+      synth_request(1, 3, InsertionPolicy::kOptimal, MachineKind::kSBM),
+      source_request(2, kSource)};
+  for (const Request& req : requests) {
+    const Response cold = core.handle(req);
+    ASSERT_EQ(cold.status, Status::kOk) << cold.error;
+    ASSERT_EQ(cold.cache, CacheOutcome::kMiss);
+    const std::uint64_t before = alias_hits(core);
+    const Response second = core.handle(req);
+    EXPECT_EQ(second.cache, CacheOutcome::kHit);
+    EXPECT_EQ(alias_hits(core), before) << "second sighting is a full hit";
+    const Response third = core.handle(req);
+    ASSERT_EQ(third.status, Status::kOk) << third.error;
+    EXPECT_EQ(third.cache, CacheOutcome::kHit);
+    EXPECT_EQ(alias_hits(core), before + 1) << "third sighting is an alias hit";
+    EXPECT_EQ(third.body, cold.body);
+    EXPECT_EQ(third.fingerprint, cold.fingerprint);
+    EXPECT_EQ(response_key(third), response_key(cold));
+  }
+}
+
+TEST(ServeCore, AliasKeyIsExact) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  ServeCore core(cfg);
+  const Request synth =
+      synth_request(1, 4, InsertionPolicy::kConservative, MachineKind::kDBM);
+  const Request source = source_request(2, kSource);
+  for (const Request& req : {synth, source})
+    for (int i = 0; i < 2; ++i)
+      ASSERT_EQ(core.handle(req).status, Status::kOk);
+  ASSERT_EQ(core.stats().cache.aliases, 2u);
+
+  // Each variant differs from an aliased request in exactly one field.
+  std::vector<Request> variants;
+  Request spaced = source;  // same program, one more source byte
+  spaced.source += " ";
+  variants.push_back(spaced);
+  Request edited = source;  // one byte changed: a different program
+  edited.source[4] = 'x';
+  variants.push_back(edited);
+  Request reseeded = source;
+  reseeded.seed = 8;
+  variants.push_back(reseeded);
+  Request const_max = synth;
+  const_max.gen.const_max = 63;
+  variants.push_back(const_max);
+  Request statements = synth;
+  statements.gen.num_statements += 1;
+  variants.push_back(statements);
+  Request base_seed = synth;
+  base_seed.base_seed += 1;
+  variants.push_back(base_seed);
+  Request index = synth;
+  index.index += 1;
+  variants.push_back(index);
+
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const std::uint64_t before = alias_hits(core);
+    const Response resp = core.handle(variants[v]);
+    ASSERT_EQ(resp.status, Status::kOk) << resp.error;
+    EXPECT_EQ(alias_hits(core), before) << "variant " << v;
+    // The byte-level twin of the source still hits, by fingerprint: it
+    // poses the same scheduling problem, and gets the same answer.
+    if (v == 0) {
+      EXPECT_EQ(resp.cache, CacheOutcome::kHit);
+      EXPECT_EQ(resp.body, core.handle(source).body);
+    } else {
+      EXPECT_EQ(resp.cache, CacheOutcome::kMiss) << "variant " << v;
+    }
+  }
+}
+
+TEST(ServeCore, VerifyAndNoCacheRequestsBypassTheAliasIndex) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  ServeCore core(cfg);
+  const Request req =
+      synth_request(1, 5, InsertionPolicy::kOptimal, MachineKind::kDBM);
+  const Response cold = core.handle(req);
+  ASSERT_EQ(cold.status, Status::kOk) << cold.error;
+
+  Request verify = req;
+  verify.verify = true;
+  for (int i = 0; i < 3; ++i) {
+    const Response resp = core.handle(verify);
+    ASSERT_EQ(resp.status, Status::kOk) << resp.error;
+    EXPECT_EQ(resp.cache, CacheOutcome::kHit);
+    EXPECT_EQ(resp.verify_errors, 0u);
+    EXPECT_EQ(resp.body, cold.body);
+  }
+  EXPECT_EQ(core.stats().cache.aliases, 0u) << "verify admitted an alias";
+
+  core.handle(req);  // a plain second sighting admits the alias
+  ASSERT_EQ(core.stats().cache.aliases, 1u);
+  const std::uint64_t before = alias_hits(core);
+  const Response verified = core.handle(verify);
+  EXPECT_EQ(verified.cache, CacheOutcome::kHit);
+  EXPECT_EQ(verified.verify_errors, 0u);
+  Request bypass = req;
+  bypass.no_cache = true;
+  const Response bypassed = core.handle(bypass);
+  EXPECT_EQ(bypassed.cache, CacheOutcome::kBypass);
+  EXPECT_EQ(bypassed.body, cold.body);
+  EXPECT_EQ(alias_hits(core), before);
+}
+
+TEST(ServeCore, EvictionDropsTheEntrysAliases) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_entries = 1;
+  ServeCore core(cfg);
+  const Request a = source_request(1, kSource);
+  const Request b =
+      synth_request(2, 0, InsertionPolicy::kConservative, MachineKind::kSBM);
+  const Response cold = core.handle(a);
+  core.handle(a);
+  ASSERT_EQ(core.stats().cache.aliases, 1u);
+  ASSERT_GT(core.stats().cache.bytes, 0u);
+
+  ASSERT_EQ(core.handle(b).cache, CacheOutcome::kMiss);  // evicts a
+  CoreStats s = core.stats();
+  EXPECT_EQ(s.cache.evictions, 1u);
+  EXPECT_EQ(s.cache.aliases, 0u);
+
+  const Response again = core.handle(a);
+  EXPECT_EQ(again.cache, CacheOutcome::kMiss) << "a stale alias answered";
+  EXPECT_EQ(again.body, cold.body);
+  s = core.stats();
+  EXPECT_EQ(s.cache.alias_hits, 0u);
+
+  // The alias footprint is charged and released with its entry.
+  const std::uint64_t entry_only = s.cache.bytes;
+  core.handle(a);
+  EXPECT_GT(core.stats().cache.bytes, entry_only);
+  core.handle(b);
+  EXPECT_EQ(core.stats().cache.aliases, 0u);
+}
+
+TEST(ServeCore, AliasHitsAloneKeepAnEntryHot) {
+  constexpr std::size_t kEntries = 4;
+  CoreConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_entries = kEntries;
+  ServeCore core(cfg);
+  const Request hot = source_request(1, kSource);
+  const Response cold = core.handle(hot);
+  core.handle(hot);  // admits the alias
+  for (std::size_t i = 0; i < 3 * kEntries; ++i) {
+    const Response miss = core.handle(synth_request(
+        100 + i, i, InsertionPolicy::kConservative, MachineKind::kSBM));
+    ASSERT_EQ(miss.cache, CacheOutcome::kMiss);
+    const std::uint64_t before = alias_hits(core);
+    const Response resp = core.handle(hot);
+    ASSERT_EQ(resp.cache, CacheOutcome::kHit) << "after " << i + 1 << " misses";
+    EXPECT_EQ(alias_hits(core), before + 1);
+    EXPECT_EQ(resp.body, cold.body);
+  }
+  EXPECT_GE(core.stats().cache.evictions, 2 * kEntries);
 }
 
 TEST(ServeCore, SynthResponsesMatchDirectPipeline) {
@@ -308,6 +503,31 @@ TEST(ServeCore, ProtocolRoundTripPreservesRequestsAndResponses) {
   EXPECT_EQ(encode_response(rback), encode_response(resp));
   EXPECT_EQ(rback.body, resp.body);
   EXPECT_EQ(rback.stats.completion, resp.stats.completion);
+}
+
+TEST(ServeCore, ClientErrorsCarryNoSourcePaths) {
+  CoreConfig cfg;
+  cfg.workers = 1;
+  ServeCore core(cfg);
+  Request req =
+      synth_request(1, 0, InsertionPolicy::kConservative, MachineKind::kSBM);
+  req.sched.num_procs = 0;
+  auto check = [](const Response& resp) {
+    EXPECT_EQ(resp.status, Status::kError);
+    EXPECT_NE(resp.error.find("precondition failed"), std::string::npos)
+        << resp.error;
+    EXPECT_NE(resp.error.find("need at least one processor"),
+              std::string::npos)
+        << resp.error;
+    EXPECT_EQ(resp.error.find(".cpp:"), std::string::npos) << resp.error;
+    EXPECT_EQ(resp.error.find('/'), std::string::npos) << resp.error;
+  };
+  check(core.handle(req));
+  Response submitted;
+  core.submit(req, [&](const Response& r) { submitted = r; });
+  core.drain();
+  check(submitted);
+  EXPECT_EQ(core.stats().errors, 2u);
 }
 
 }  // namespace

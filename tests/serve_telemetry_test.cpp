@@ -5,7 +5,8 @@
 //  - latency quantiles, per-phase breakdowns, and the cache hit ratio are
 //    internally consistent (BM_OBS builds);
 //  - the JSONL access log gets exactly one parseable line per answered
-//    request under concurrent load, and rotates by size;
+//    request under concurrent load, rotates by size, and keeps the full
+//    error text (source location included) the client is not sent;
 //  - requests over the slow threshold emit standalone Perfetto traces,
 //    bounded by slow_trace_max.
 #include <gtest/gtest.h>
@@ -107,9 +108,15 @@ TEST(ServeTelemetry, StatsV1ParsesAndTotalsPartition) {
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p99);
   EXPECT_LE(p99, snap.num(-1, "latency", "max_us"));
-  // Phase histograms saw the scheduling stages.
-  EXPECT_EQ(snap.num(-1, "phases", "cold_schedule", "count"), 12.0);
+  // Phase histograms saw the scheduling stages: every request probes the
+  // cache; the 3 first sightings synthesize and schedule cold, the 3
+  // second sightings synthesize and hit by fingerprint (admitting their
+  // identity as an alias), the remaining 6 are alias hits.
+  EXPECT_EQ(snap.num(-1, "phases", "cold_schedule", "count"), 3.0);
+  EXPECT_EQ(snap.num(-1, "phases", "synthesize", "count"), 6.0);
   EXPECT_EQ(snap.num(-1, "phases", "cache_lookup", "count"), 12.0);
+  EXPECT_EQ(snap.num(-1, "cache", "alias_hits"), 6.0);
+  EXPECT_EQ(snap.num(-1, "cache", "aliases"), 3.0);
   EXPECT_GT(snap.num(-1, "window", "quantiles", "count"), 0.0);
 #endif
 }
@@ -233,6 +240,27 @@ TEST(ServeTelemetry, RejectionsReachTheAccessLog) {
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0].str("", "status"), "rejected");
   EXPECT_EQ(lines[0].num(0, "id"), 7.0);
+}
+
+TEST(ServeTelemetry, AccessLogKeepsTheFullErrorText) {
+  TempDir dir;
+  const fs::path log = dir.path / "access.jsonl";
+  CoreConfig cfg;
+  cfg.workers = 1;
+  cfg.telemetry.access_log_path = log.string();
+  ServeCore core(cfg);
+  Request req = synth_request(9, 0);
+  req.sched.num_procs = 0;
+  const Response resp = core.handle(req);
+  ASSERT_EQ(resp.status, Status::kError);
+  EXPECT_EQ(resp.error.find(".cpp:"), std::string::npos) << resp.error;
+
+  const std::vector<json::Value> lines = read_jsonl(log);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].str("", "status"), "error");
+  const std::string logged = lines[0].str("", "error");
+  EXPECT_NE(logged.find(".cpp:"), std::string::npos) << logged;
+  EXPECT_NE(logged.find("need at least one processor"), std::string::npos);
 }
 
 }  // namespace
