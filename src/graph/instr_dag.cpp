@@ -1,16 +1,13 @@
 #include "graph/instr_dag.hpp"
 
+#include <numeric>
+
 #include "graph/paths.hpp"
 #include "support/scratch.hpp"
 
 namespace bm {
 
 namespace {
-
-/// Offset columns widen past this edge total. Production: every total that
-/// fits in 32 bits stays narrow; tests lower the bound to force the wide
-/// layout on small dags.
-std::uint64_t g_offset_width_bound = 0xFFFFFFFFull;
 
 /// True if `t` has a value operand referencing tuple `u` — exactly the
 /// condition under which a memory-dependence edge u→t duplicates a dataflow
@@ -22,38 +19,16 @@ bool has_tuple_operand(const Tuple& t, NodeId u) {
   return false;
 }
 
+/// Exclusive prefix sums of `counts` plus a final total entry. Callers
+/// have checked that the total fits in 32 bits.
+void prefix_offsets(std::span<const std::uint32_t> counts,
+                    std::vector<std::uint32_t>& off) {
+  off.resize(counts.size() + 1);
+  off[0] = 0;
+  std::partial_sum(counts.begin(), counts.end(), off.begin() + 1);
+}
+
 }  // namespace
-
-void OffsetColumn::build_from_counts(std::span<const std::uint32_t> counts,
-                                     std::uint64_t bound) {
-  std::uint64_t total = 0;
-  for (std::uint32_t c : counts) total += c;
-  narrow_.clear();
-  wide_.clear();
-  if (total > bound) {
-    wide_.resize(counts.size() + 1);
-    std::uint64_t run = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      wide_[i] = run;
-      run += counts[i];
-    }
-    wide_[counts.size()] = run;
-  } else {
-    narrow_.resize(counts.size() + 1);
-    std::uint64_t run = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      narrow_[i] = static_cast<std::uint32_t>(run);
-      run += counts[i];
-    }
-    narrow_[counts.size()] = static_cast<std::uint32_t>(run);
-  }
-}
-
-std::uint64_t InstrDag::set_offset_width_bound_for_test(std::uint64_t bound) {
-  const std::uint64_t prev = g_offset_width_bound;
-  g_offset_width_bound = bound;
-  return prev;
-}
 
 InstrDag InstrDag::build(const Program& prog, const TimingModel& tm) {
   prog.validate();
@@ -136,19 +111,19 @@ InstrDag InstrDag::build(const Program& prog, const TimingModel& tm) {
   // preserves per-source emission order (successor lists), grouping by
   // target preserves per-target emission order (predecessor lists) — both
   // match the historical push_back order exactly.
-  const std::uint64_t bound = g_offset_width_bound;
-  dag.succ_off_.build_from_counts({outdeg.data(), total}, bound);
-  dag.pred_off_.build_from_counts({indeg.data(), total}, bound);
+  BM_REQUIRE(edges.size() <= 0xFFFFFFFFull,
+             "program too large for 32-bit edge offsets");
+  prefix_offsets({outdeg.data(), total}, dag.succ_off_);
+  prefix_offsets({indeg.data(), total}, dag.pred_off_);
   dag.succ_dat_.resize(edges.size());
   dag.pred_dat_.resize(edges.size());
   {
-    ScratchVec<std::uint64_t> cur_s;
+    ScratchVec<std::uint32_t> cur_s;
     auto& cur = *cur_s;
-    cur.resize(total);
-    for (std::size_t v = 0; v < total; ++v) cur[v] = dag.succ_off_[v];
+    cur.assign(dag.succ_off_.begin(), dag.succ_off_.end() - 1);
     for (const std::uint64_t key : edges)
       dag.succ_dat_[cur[key >> 32]++] = static_cast<NodeId>(key);
-    for (std::size_t v = 0; v < total; ++v) cur[v] = dag.pred_off_[v];
+    cur.assign(dag.pred_off_.begin(), dag.pred_off_.end() - 1);
     for (const std::uint64_t key : edges)
       dag.pred_dat_[cur[static_cast<NodeId>(key)]++] =
           static_cast<NodeId>(key >> 32);
@@ -175,7 +150,7 @@ InstrDag InstrDag::build(const Program& prog, const TimingModel& tm) {
         if (!dag.is_dummy(p)) ++c;
       icnt[v] = c;
     }
-    dag.iprd_off_.build_from_counts({icnt.data(), n}, bound);
+    prefix_offsets({icnt.data(), n}, dag.iprd_off_);
     dag.iprd_dat_.resize(dag.iprd_off_[n]);
     std::size_t k = 0;
     for (NodeId v = 0; v < n; ++v)

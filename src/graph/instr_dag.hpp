@@ -10,13 +10,15 @@
 //  - output: Store v → next Store v.
 // On generator output (post-optimization) only dataflow and anti edges occur.
 //
+// These rules live here only: the serve fingerprint (serve/fingerprint.hpp)
+// reads its typed edges from a built dag rather than re-deriving them.
+//
 // Data layout: the dag is built as flat CSR columns directly from the tuple
 // stream — one chronological edge list, two stable counting sorts, and fused
 // min/max labeling sweeps — with no intermediate per-node adjacency ever
-// materialized. Offset columns are 32-bit until the edge total crosses a
-// width bound, then widen to 64-bit (see OffsetColumn); node-id payloads
-// stay 32-bit throughout. A mutable Digraph view exists only behind the
-// lazily built graph() accessor for diagnostic consumers.
+// materialized. Offsets and node ids are 32-bit (build() rejects programs
+// whose node or edge totals would not fit). A mutable Digraph view exists
+// only behind the lazily built graph() accessor for diagnostic consumers.
 #pragma once
 
 #include <memory>
@@ -28,32 +30,6 @@
 #include "ir/program.hpp"
 
 namespace bm {
-
-/// CSR offset column with guarded index width: entries are 32-bit until the
-/// running total exceeds the width bound (2^32-1 in production — offsets
-/// count edges, so every real program fits), then 64-bit. The wide layout is
-/// test-forcible through InstrDag::set_offset_width_bound_for_test so its
-/// parity with the narrow one stays exercised.
-class OffsetColumn {
- public:
-  /// Exclusive prefix sums of `counts` plus a final total entry
-  /// (counts.size() + 1 offsets). `bound` picks the width: totals above it
-  /// are stored 64-bit.
-  void build_from_counts(std::span<const std::uint32_t> counts,
-                         std::uint64_t bound);
-
-  std::uint64_t operator[](std::size_t i) const {
-    return wide_.empty() ? narrow_[i] : wide_[i];
-  }
-  bool wide() const { return !wide_.empty(); }
-  std::size_t size() const {
-    return wide_.empty() ? narrow_.size() : wide_.size();
-  }
-
- private:
-  std::vector<std::uint32_t> narrow_;
-  std::vector<std::uint64_t> wide_;
-};
 
 class InstrDag {
  public:
@@ -82,17 +58,17 @@ class InstrDag {
   /// insertion order).
   std::span<const NodeId> preds(NodeId n) const {
     const std::size_t b = pred_off_[n];
-    return {pred_dat_.data() + b, static_cast<std::size_t>(pred_off_[n + 1]) - b};
+    return {pred_dat_.data() + b, pred_off_[n + 1] - b};
   }
   std::span<const NodeId> succs(NodeId n) const {
     const std::size_t b = succ_off_[n];
-    return {succ_dat_.data() + b, static_cast<std::size_t>(succ_off_[n + 1]) - b};
+    return {succ_dat_.data() + b, succ_off_[n + 1] - b};
   }
   /// Producers of instruction `n` that are themselves instructions (the
   /// entry dummy filtered out) — the scheduler's per-node dependence scan.
   std::span<const NodeId> instr_preds(NodeId n) const {
     const std::size_t b = iprd_off_[n];
-    return {iprd_dat_.data() + b, static_cast<std::size_t>(iprd_off_[n + 1]) - b};
+    return {iprd_dat_.data() + b, iprd_off_[n + 1] - b};
   }
   /// Full in-degree column (dummies included), one entry per node.
   std::uint32_t indegree(NodeId n) const { return indeg_[n]; }
@@ -118,17 +94,6 @@ class InstrDag {
   }
   std::size_t implied_syncs() const { return sync_edges_.size(); }
 
-  /// Test hook: offset columns widen to 64-bit when the edge total exceeds
-  /// this bound. Returns the previous bound so tests can restore it.
-  /// Production default: 2^32 - 1.
-  static std::uint64_t set_offset_width_bound_for_test(std::uint64_t bound);
-
-  /// True when every offset column took the 64-bit layout (all columns see
-  /// the same width bound, so they widen together).
-  bool offsets_wide() const {
-    return pred_off_.wide() && succ_off_.wide() && iprd_off_.wide();
-  }
-
  private:
   std::size_t num_instr_ = 0;
   NodeId entry_ = kInvalidNode;
@@ -140,7 +105,7 @@ class InstrDag {
   std::vector<std::pair<NodeId, NodeId>> sync_edges_;
 
   // Columnar core (CSR edges + indegree), frozen after build().
-  OffsetColumn pred_off_, succ_off_, iprd_off_;
+  std::vector<std::uint32_t> pred_off_, succ_off_, iprd_off_;
   std::vector<NodeId> pred_dat_, succ_dat_, iprd_dat_;
   std::vector<std::uint32_t> indeg_;
 

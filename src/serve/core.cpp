@@ -13,34 +13,8 @@ namespace bm::serve {
 
 namespace {
 
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-constexpr std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ (b * 0xD6E8FEB86659FD93ull));
-}
-
-/// Everything that shapes synthesis output, folded into the RNG identity:
-/// the synthesis draws advance the stream the scheduler then continues, so
-/// the cache key must distinguish generator configurations even for the
-/// (fingerprint-identical) programs they might coincide on.
-std::uint64_t gen_digest(const GeneratorConfig& g) {
-  std::uint64_t h = mix64(0x6E6Eull);
-  h = mix2(h, g.num_statements);
-  h = mix2(h, g.num_variables);
-  h = mix2(h, g.num_constants);
-  std::uint64_t prob_bits = 0;
-  static_assert(sizeof(prob_bits) == sizeof(g.const_operand_prob));
-  __builtin_memcpy(&prob_bits, &g.const_operand_prob, sizeof(prob_bits));
-  h = mix2(h, prob_bits);
-  return mix2(h, static_cast<std::uint64_t>(g.const_max));
-}
-
-// A new GeneratorConfig field must join gen_digest and request_identity.
+// A new GeneratorConfig field must join gen_digest (serve/fingerprint.cpp)
+// and request_identity.
 static_assert(sizeof(GeneratorConfig) == 32);
 
 template <typename T>
@@ -396,14 +370,18 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   }
   BM_REQUIRE(!program.empty(), "program optimized to an empty block");
 
-  // Stage 2: cache probe under the canonical fingerprint. A verified hit
-  // admits this request's identity to the alias index (second sighting).
+  // Stage 2: cache probe under the canonical fingerprint, read from the
+  // request's dag — the one dag the verify and cold paths below use too. A
+  // verified hit admits this request's identity to the alias index (second
+  // sighting).
   CanonicalProgram canon;
-  {
+  const InstrDag dag = [&] {
     PhaseScope ps(telemetry_, rt, Phase::kFingerprint);
-    canon = canonicalize_program(program);
-    resp.fingerprint = fingerprint_hex(canon.fingerprint);
-  }
+    InstrDag built = session->build_dag(program, timing);
+    canon = canonicalize_program(program, built);
+    return built;
+  }();
+  resp.fingerprint = fingerprint_hex(canon.fingerprint);
 
   if (!req.no_cache) {
     ScheduleCache::Hit hit;
@@ -418,7 +396,6 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
       resp.body = std::move(hit.schedule_text);
       if (req.verify) {
         PhaseScope ps(telemetry_, rt, Phase::kVerify);
-        const InstrDag dag = session->build_dag(program, timing);
         const Schedule sched = schedule_from_text(dag, resp.body);
         resp.verify_errors = session->verify(dag, sched).error_count();
       }
@@ -427,10 +404,6 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   }
 
   // Stage 3: cold path — the ordinary pipeline.
-  const InstrDag dag = [&] {
-    PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);
-    return session->build_dag(program, timing);
-  }();
   ScheduleResult scheduled;
   {
     PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);

@@ -10,18 +10,6 @@ namespace bm::serve {
 
 namespace {
 
-/// SplitMix64 finalizer — the avalanche core used for all label mixing.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-constexpr std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ (b * 0xD6E8FEB86659FD93ull));
-}
-
 /// Edge kinds; dataflow kinds encode the consumer's operand slot so
 /// non-commutative operand order is structural.
 enum EdgeKind : std::uint32_t {
@@ -38,48 +26,18 @@ struct TypedEdge {
   std::uint32_t kind = 0;
 };
 
-bool has_tuple_operand(const Tuple& t, std::uint32_t u) {
+/// Kind of the dag edge u→v. An operand slot of v naming u makes it
+/// dataflow (the dag never adds a memory edge beside an operand edge);
+/// otherwise the opcodes at the two ends tell the memory rules apart.
+std::uint32_t edge_kind(const Program& prog, std::uint32_t u,
+                        std::uint32_t v) {
+  const Tuple& t = prog[v];
   for (int k = 0; k < t.operand_count(); ++k)
-    if (t.operand(k).is_tuple() && t.operand(k).tuple_id() == u) return true;
-  return false;
-}
-
-/// The typed dependence edges of the scheduling DAG — same edge set and
-/// suppression rules as InstrDag::build (dummies excluded), plus kinds.
-std::vector<TypedEdge> typed_edges(const Program& prog) {
-  const std::size_t n = prog.size();
-  std::vector<TypedEdge> edges;
-  edges.reserve(n * 2);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& t = prog[i];
-    for (int k = 0; k < t.operand_count(); ++k) {
-      if (!t.operand(k).is_tuple()) continue;
-      if (k == 1 && t.operand(0) == t.operand(1)) continue;  // same producer
-      edges.push_back({t.operand(k).tuple_id(), static_cast<std::uint32_t>(i),
-                       k == 0 ? kDataflowSlot0 : kDataflowSlot1});
-    }
-  }
-
-  std::vector<std::uint32_t> last_store(prog.num_vars(), ~0u);
-  std::vector<std::vector<std::uint32_t>> loads_since(prog.num_vars());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& t = prog[i];
-    const auto node = static_cast<std::uint32_t>(i);
-    if (t.is_load()) {
-      if (last_store[t.var] != ~0u)
-        edges.push_back({last_store[t.var], node, kMemFlow});
-      loads_since[t.var].push_back(node);
-    } else if (t.is_store()) {
-      for (std::uint32_t l : loads_since[t.var])
-        if (!has_tuple_operand(t, l)) edges.push_back({l, node, kMemAnti});
-      if (last_store[t.var] != ~0u && !has_tuple_operand(t, last_store[t.var]))
-        edges.push_back({last_store[t.var], node, kMemOutput});
-      last_store[t.var] = node;
-      loads_since[t.var].clear();
-    }
-  }
-  return edges;
+    if (t.operand(k).is_tuple() && t.operand(k).tuple_id() == u)
+      return k == 0 ? kDataflowSlot0 : kDataflowSlot1;
+  if (t.is_load()) return kMemFlow;
+  BM_ASSERT_INTERNAL(t.is_store(), "memory edge into a binary tuple");
+  return prog[u].is_load() ? kMemAnti : kMemOutput;
 }
 
 /// Base label: opcode + constant-operand signature. No uids, no var ids,
@@ -102,10 +60,14 @@ std::size_t distinct_count(std::vector<std::uint64_t> labels) {
 
 }  // namespace
 
-CanonicalProgram canonicalize_program(const Program& prog) {
-  prog.validate();
+CanonicalProgram canonicalize_program(const Program& prog,
+                                      const InstrDag& dag) {
   const std::size_t n = prog.size();
-  const std::vector<TypedEdge> edges = typed_edges(prog);
+  BM_REQUIRE(dag.num_instructions() == n, "dag was not built from program");
+  std::vector<TypedEdge> edges;
+  edges.reserve(dag.implied_syncs());
+  for (const auto& [u, v] : dag.sync_edges())
+    edges.push_back({u, v, edge_kind(prog, u, v)});
 
   std::vector<std::uint64_t> label(n);
   for (std::size_t i = 0; i < n; ++i) label[i] = base_label(prog[i]);
@@ -202,10 +164,6 @@ CanonicalProgram canonicalize_program(const Program& prog) {
   return out;
 }
 
-std::uint64_t program_fingerprint(const Program& prog) {
-  return canonicalize_program(prog).fingerprint;
-}
-
 std::string fingerprint_hex(std::uint64_t fp) {
   static const char* kHex = "0123456789abcdef";
   std::string s(16, '0');
@@ -230,6 +188,18 @@ std::uint64_t config_digest(const SchedulerConfig& cfg, const TimingModel& tm,
     h = mix2(h, static_cast<std::uint64_t>(r.max));
   }
   return mix2(h, rng_key);
+}
+
+std::uint64_t gen_digest(const GeneratorConfig& g) {
+  std::uint64_t h = mix64(0x6E6Eull);
+  h = mix2(h, g.num_statements);
+  h = mix2(h, g.num_variables);
+  h = mix2(h, g.num_constants);
+  std::uint64_t prob_bits = 0;
+  static_assert(sizeof(prob_bits) == sizeof(g.const_operand_prob));
+  __builtin_memcpy(&prob_bits, &g.const_operand_prob, sizeof(prob_bits));
+  h = mix2(h, prob_bits);
+  return mix2(h, static_cast<std::uint64_t>(g.const_max));
 }
 
 std::string rewrite_schedule_ids(const std::string& text,

@@ -6,10 +6,10 @@
 // their instructions are numbered or ordered differently. The fingerprint
 // is a 64-bit hash of a Weisfeiler–Lehman-style canonical form:
 //
-//   1. Build the typed dependence edges exactly as InstrDag::build does
-//      (dataflow per operand slot, memory flow store→load, anti
-//      load→store, output store→store, duplicates suppressed the same
-//      way), annotated with the edge kind.
+//   1. Read the dependence edges from the request's InstrDag (its
+//      instruction-to-instruction sync edges) and type each edge u→v:
+//      dataflow by the operand slot of v that names u, otherwise memory
+//      flow (v loads), anti (v stores, u loads) or output (both store).
 //   2. Seed every node with a label hashing its opcode and constant
 //      operands (tuple uids and variable ids never participate: uids are
 //      display-only and variables matter only through the memory edges).
@@ -34,10 +34,25 @@
 #include <string>
 #include <vector>
 
+#include "codegen/generator.hpp"
+#include "graph/instr_dag.hpp"
 #include "ir/program.hpp"
 #include "sched/policies.hpp"
 
 namespace bm::serve {
+
+/// SplitMix64 finalizer — the avalanche core of every serve-side hash
+/// (fingerprint labels, config and generator digests, rng identities).
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+constexpr std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
+  return mix64(a ^ (b * 0xD6E8FEB86659FD93ull));
+}
 
 struct CanonicalProgram {
   std::uint64_t fingerprint = 0;
@@ -50,11 +65,11 @@ struct CanonicalProgram {
   std::string bytes;
 };
 
-/// Canonicalizes a (validated) program. Deterministic; O(E · rounds).
-CanonicalProgram canonicalize_program(const Program& prog);
-
-/// Fingerprint only (no permutation / bytes needed by the caller).
-std::uint64_t program_fingerprint(const Program& prog);
+/// Canonicalizes `prog` given its dag (`InstrDag::build(prog, tm)` under
+/// any timing model: only the edges are read). Deterministic;
+/// O(E · rounds).
+CanonicalProgram canonicalize_program(const Program& prog,
+                                      const InstrDag& dag);
 
 /// 16-digit lowercase hex rendering used in the protocol and fixtures.
 std::string fingerprint_hex(std::uint64_t fp);
@@ -65,6 +80,12 @@ std::string fingerprint_hex(std::uint64_t fp);
 /// machine/policy/timing change invalidates by construction.
 std::uint64_t config_digest(const SchedulerConfig& cfg, const TimingModel& tm,
                             std::uint64_t rng_key);
+
+/// Everything that shapes synthesis output, folded into the RNG identity:
+/// the synthesis draws advance the stream the scheduler then continues, so
+/// the cache key must distinguish generator configurations even for the
+/// (fingerprint-identical) programs they might coincide on.
+std::uint64_t gen_digest(const GeneratorConfig& g);
 
 /// Rewrites every instruction token `n<id>` in a serialized schedule
 /// (sched/serialize.hpp text format) through `map` (old id -> new id).

@@ -487,7 +487,7 @@ void check_dependences(const InstrDag& dag, const Schedule& sched,
        << ": no program order, no separating barrier chain, and the timing "
           "windows admit an inversion";
     report.add(VerifyDiagnostic{verify_code::kRace, VerifySeverity::kError,
-                                os.str(), w});
+                                os.str(), w, std::nullopt});
   }
 }
 
@@ -541,7 +541,7 @@ VerifyReport verify_schedule(const InstrDag& dag, const Schedule& sched,
       check_cached_analysis(sched, fa, report);
   }
 
-  const VerifyStats& st = report.stats();
+  [[maybe_unused]] const VerifyStats& st = report.stats();
   BM_OBS_COUNT("verify.schedules");
   BM_OBS_COUNT_N("verify.edges_checked", st.edges_checked);
   BM_OBS_COUNT_N("verify.proved_serialized", st.proved_serialized);

@@ -158,8 +158,8 @@ void run_quiet(const Experiment& exp, const std::string& jobs,
 // Pulls the numeric value of `"key": <number>` out of a manifest, or `def`
 // when the key is absent. Good enough for the flat metrics block the
 // ArtifactWriter emits (keys are unique across the file).
-double manifest_metric(const std::string& json, const std::string& key,
-                       double def) {
+[[maybe_unused]] double manifest_metric(const std::string& json,
+                                        const std::string& key, double def) {
   const std::string needle = "\"" + key + "\": ";
   const std::size_t at = json.find(needle);
   if (at == std::string::npos) return def;

@@ -4,6 +4,8 @@
 //    BM_GOLDEN_REGEN=1 ./build/fingerprint_test after intentional changes);
 //  - invariance: permuting instruction uids and valid reorderings of the
 //    tuple list leave the fingerprint (and the canonical bytes) unchanged;
+//  - pinned edge kinds: literal fingerprints of inputs with every memory
+//    edge kind and both duplicate-suppression rules;
 //  - sensitivity: any semantic edit — opcode, constant, operand wiring,
 //    memory dependence — changes the fingerprint;
 //  - the schedule-id rewriter round-trips through a permutation.
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "codegen/synthesize.hpp"
+#include "graph/instr_dag.hpp"
 #include "serve/fingerprint.hpp"
 #include "support/rng.hpp"
 
@@ -27,11 +30,16 @@ using serve::CanonicalProgram;
 using serve::canonicalize_program;
 using serve::config_digest;
 using serve::fingerprint_hex;
-using serve::program_fingerprint;
 using serve::rewrite_schedule_ids;
 
 constexpr std::uint64_t kBaseSeed = 1990;
 constexpr std::size_t kSeeds = 100;  // matches the golden parity corpus
+
+/// Canonical form of `prog`, read from its dag as the serving path does.
+CanonicalProgram canon(const Program& prog) {
+  return canonicalize_program(prog,
+                              InstrDag::build(prog, TimingModel::table1()));
+}
 
 Program corpus_program(std::size_t i) {
   GeneratorConfig gen;
@@ -101,7 +109,7 @@ TEST(Fingerprint, GoldenCorpusFixtures) {
   os << "fingerprints v1 base_seed=" << kBaseSeed << " seeds=" << kSeeds
      << "\n";
   for (std::size_t i = 0; i < kSeeds; ++i)
-    os << i << " " << fingerprint_hex(program_fingerprint(corpus_program(i)))
+    os << i << " " << fingerprint_hex(canon(corpus_program(i)).fingerprint)
        << "\n";
   const std::string current = os.str();
   const std::string path = std::string(BM_GOLDEN_DIR) + "/fingerprints.txt";
@@ -127,11 +135,11 @@ TEST(Fingerprint, GoldenCorpusFixtures) {
 TEST(Fingerprint, InvariantUnderUidRenumbering) {
   for (std::size_t i = 0; i < 10; ++i) {
     Program prog = corpus_program(i);
-    const CanonicalProgram before = canonicalize_program(prog);
+    const CanonicalProgram before = canon(prog);
     // uids are display-only; scramble them hard.
     for (std::size_t t = 0; t < prog.size(); ++t)
       prog[t].uid = static_cast<std::uint32_t>(9000 + 7 * t);
-    const CanonicalProgram after = canonicalize_program(prog);
+    const CanonicalProgram after = canon(prog);
     EXPECT_EQ(before.fingerprint, after.fingerprint) << "seed " << i;
     EXPECT_EQ(before.bytes, after.bytes) << "seed " << i;
   }
@@ -149,8 +157,8 @@ TEST(Fingerprint, InvariantUnderValidReordering) {
 
     const Program shuffled = permute_program(prog, order);
     shuffled.validate();
-    const CanonicalProgram a = canonicalize_program(prog);
-    const CanonicalProgram b = canonicalize_program(shuffled);
+    const CanonicalProgram a = canon(prog);
+    const CanonicalProgram b = canon(shuffled);
     EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << i;
     EXPECT_EQ(a.bytes, b.bytes) << "seed " << i;
     // (The perm/inv_perm pairs may legitimately differ on automorphic
@@ -163,7 +171,7 @@ TEST(Fingerprint, InvariantUnderValidReordering) {
 
 TEST(Fingerprint, SensitiveToSemanticEdits) {
   Program base = corpus_program(0);
-  const std::uint64_t fp = program_fingerprint(base);
+  const std::uint64_t fp = canon(base).fingerprint;
 
   // Opcode change on some binary tuple.
   {
@@ -173,7 +181,7 @@ TEST(Fingerprint, SensitiveToSemanticEdits) {
         p[t].op = p[t].op == Opcode::kAdd ? Opcode::kSub : Opcode::kAdd;
         break;
       }
-    EXPECT_NE(program_fingerprint(p), fp) << "opcode edit went unnoticed";
+    EXPECT_NE(canon(p).fingerprint, fp) << "opcode edit went unnoticed";
   }
   // Constant operand change.
   {
@@ -188,7 +196,7 @@ TEST(Fingerprint, SensitiveToSemanticEdits) {
           break;
         }
     ASSERT_TRUE(edited);
-    EXPECT_NE(program_fingerprint(p), fp) << "constant edit went unnoticed";
+    EXPECT_NE(canon(p).fingerprint, fp) << "constant edit went unnoticed";
   }
   // Operand rewiring: point a consumer at a different producer.
   {
@@ -207,8 +215,91 @@ TEST(Fingerprint, SensitiveToSemanticEdits) {
       }
     ASSERT_TRUE(edited);
     p.validate();
-    EXPECT_NE(program_fingerprint(p), fp) << "rewiring went unnoticed";
+    EXPECT_NE(canon(p).fingerprint, fp) << "rewiring went unnoticed";
   }
+}
+
+/// Raw tuple program (no optimize): loads, stores and binaries mixed, with
+/// operands naming any earlier tuple (stores included) or a constant, so
+/// every dependence rule and both duplicate-suppression rules occur.
+Program raw_program(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto vars = static_cast<std::uint32_t>(1 + rng.index(4));
+  Program p(vars);
+  const std::size_t len = 2 + rng.index(40);
+  auto operand = [&]() {
+    if (p.size() == 0 || rng.chance(0.2))
+      return Operand::constant(rng.uniform(-3, 9));
+    return Operand::tuple(static_cast<TupleId>(rng.index(p.size())));
+  };
+  const Opcode binops[] = {Opcode::kAdd, Opcode::kSub, Opcode::kMul,
+                           Opcode::kDiv};
+  for (std::size_t i = 0; i < len; ++i) {
+    const auto uid = static_cast<std::uint32_t>(i);
+    switch (rng.index(3)) {
+      case 0:
+        p.append(Tuple::load(uid, static_cast<VarId>(rng.index(vars))));
+        break;
+      case 1: {
+        const Operand v = operand();
+        p.append(Tuple::store(uid, static_cast<VarId>(rng.index(vars)), v));
+        break;
+      }
+      default: {
+        const Opcode op = binops[rng.index(4)];
+        const Operand a = operand();
+        const Operand b = rng.chance(0.15) ? a : operand();
+        p.append(Tuple::binary(uid, op, a, b));
+        break;
+      }
+    }
+  }
+  return p;
+}
+
+// Pins the typed edge set on inputs the optimizer never emits (the golden
+// corpus only has dataflow and anti edges). Like the golden fixtures, the
+// literals change only with an intentional hash revision: any other drift
+// means an edge went missing or changed kind.
+TEST(Fingerprint, PinnedEdgeKinds) {
+  const auto T = [](TupleId id) { return Operand::tuple(id); };
+  const auto C = [](std::int64_t v) { return Operand::constant(v); };
+  Program p(2);                                            // x = 0, y = 1
+  p.append(Tuple::load(0, 0));                             //  0 L x
+  p.append(Tuple::store(1, 0, T(0)));                      //  1 S x <- 0: anti suppressed
+  p.append(Tuple::load(2, 0));                             //  2 L x: flow 1->2
+  p.append(Tuple::binary(3, Opcode::kAdd, T(2), T(2)));    //  3 one edge for both slots
+  p.append(Tuple::binary(4, Opcode::kSub, C(5), T(3)));    //  4 slot-1 dataflow
+  p.append(Tuple::load(5, 1));                             //  5 L y
+  p.append(Tuple::store(6, 0, T(4)));                      //  6 S x: anti 2->6, output 1->6
+  p.append(Tuple::store(7, 1, C(3)));                      //  7 S y: anti 5->7
+  p.append(Tuple::binary(8, Opcode::kMul, T(5), C(2)));    //  8
+  p.append(Tuple::store(9, 1, T(8)));                      //  9 S y: output 7->9
+  p.append(Tuple::load(10, 1));                            // 10 L y: flow 9->10
+  p.append(Tuple::store(11, 0, T(10)));                    // 11 S x: output 6->11
+  p.append(Tuple::store(12, 0, T(11)));                    // 12 S x <- 11: output suppressed
+  const CanonicalProgram c = canon(p);
+  EXPECT_EQ(fingerprint_hex(c.fingerprint), "40ffc107e2359ed7");
+  EXPECT_EQ(c.bytes,
+            "canon v1 n=13 m=15\n"
+            "1 e1:6 e5:9\n"
+            "1 c0:3 e4:11\n"
+            "1 e1:12\n"
+            "1 e1:0\n"
+            "0 e3:2\n"
+            "3 c0:5 e2:8\n"
+            "0 e3:10\n"
+            "6 c1:2 e1:11\n"
+            "2 e1:4\n"
+            "1 e1:5 e4:4 e5:2\n"
+            "1 e1:7 e5:1\n"
+            "0\n"
+            "0\n");
+
+  std::uint64_t fold = 0xCBF29CE484222325ull;
+  for (std::uint64_t seed = 0; seed < 200; ++seed)
+    fold = (fold ^ canon(raw_program(seed)).fingerprint) * 0x100000001B3ull;
+  EXPECT_EQ(fingerprint_hex(fold), "1bbf5e2037f6e3f2");
 }
 
 TEST(Fingerprint, ConfigDigestSeparatesParameters) {

@@ -163,62 +163,5 @@ TEST(InstrDag, HeightsMatchBruteForceOnRandomPrograms) {
   }
 }
 
-/// Forces the 64-bit offset layout and restores the production bound on
-/// scope exit, so a failing EXPECT cannot leak the test bound into later
-/// tests.
-class ForceWideOffsets {
- public:
-  ForceWideOffsets() : prev_(InstrDag::set_offset_width_bound_for_test(0)) {}
-  ~ForceWideOffsets() { InstrDag::set_offset_width_bound_for_test(prev_); }
-
- private:
-  std::uint64_t prev_;
-};
-
-TEST(InstrDag, WideOffsetColumnsMatchNarrowAtWidthBoundary) {
-  Rng rng(99);
-  for (int trial = 0; trial < 5; ++trial) {
-    // Random layered program, same shape as the heights test.
-    Program p(4);
-    std::vector<TupleId> values;
-    for (int v = 0; v < 4; ++v) values.push_back(p.append(Tuple::load(
-        static_cast<std::uint32_t>(v), static_cast<VarId>(v))));
-    for (int k = 0; k < 40; ++k) {
-      const Opcode op = rng.chance(0.2) ? Opcode::kMul : Opcode::kAdd;
-      const Operand a = T(values[rng.index(values.size())]);
-      const Operand b = T(values[rng.index(values.size())]);
-      values.push_back(p.append(
-          Tuple::binary(static_cast<std::uint32_t>(100 + k), op, a, b)));
-    }
-    p.append(Tuple::store(200, 0, T(values.back())));
-
-    const InstrDag narrow = InstrDag::build(p, TimingModel::table1());
-    ASSERT_FALSE(narrow.offsets_wide());
-
-    ForceWideOffsets guard;
-    const InstrDag wide = InstrDag::build(p, TimingModel::table1());
-    ASSERT_TRUE(wide.offsets_wide());
-
-    // Every observable column must agree between the two index widths.
-    ASSERT_EQ(wide.num_nodes(), narrow.num_nodes());
-    EXPECT_EQ(wide.entry(), narrow.entry());
-    EXPECT_EQ(wide.exit(), narrow.exit());
-    EXPECT_EQ(wide.critical_path(), narrow.critical_path());
-    EXPECT_EQ(wide.sync_edges(), narrow.sync_edges());
-    for (NodeId n = 0; n < narrow.num_nodes(); ++n) {
-      EXPECT_TRUE(std::ranges::equal(wide.preds(n), narrow.preds(n))) << n;
-      EXPECT_TRUE(std::ranges::equal(wide.succs(n), narrow.succs(n))) << n;
-      EXPECT_EQ(wide.indegree(n), narrow.indegree(n)) << n;
-      EXPECT_EQ(wide.h_min(n), narrow.h_min(n)) << n;
-      EXPECT_EQ(wide.h_max(n), narrow.h_max(n)) << n;
-      EXPECT_EQ(wide.asap_finish(n), narrow.asap_finish(n)) << n;
-    }
-    for (NodeId n = 0; n < narrow.num_instructions(); ++n)
-      EXPECT_TRUE(
-          std::ranges::equal(wide.instr_preds(n), narrow.instr_preds(n)))
-          << n;
-  }
-}
-
 }  // namespace
 }  // namespace bm
