@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the native execution backend: raw
 // per-primitive barrier crossing latency at several participant counts
-// (manual time from the calibrate helper, so thread spawn/join is
+// (manual time from the calibrate helper, so waking the worker team is
 // excluded), schedule lowering throughput, and the interpreter runtime
 // end to end. Emit + system-compiler time is deliberately NOT benchmarked
 // — the JIT's cost is the compiler's, not this repo's. Not a paper figure
@@ -47,7 +47,7 @@ Prepared prepare(std::size_t statements) {
 /// One full barrier crossing (all arrive, all released) on real threads.
 /// Manual time: each benchmark iteration runs a batch of back-to-back
 /// phases inside measure_barrier_overhead_ns and reports the per-batch
-/// wall, so thread creation never pollutes the figure.
+/// wall, so waking the worker team never pollutes the figure.
 void barrier_crossing(benchmark::State& state, exec::BarrierKind kind) {
   constexpr std::uint32_t kRounds = 512;
   const auto participants = static_cast<std::uint32_t>(state.range(0));
@@ -83,10 +83,11 @@ void BM_ExecLower(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecLower)->Arg(24)->Arg(120);
 
-/// Interpreter runtime end to end, one thread per PE, timeline off.
-/// Dominated by thread spawn + barrier crossings on a small box, so it
-/// rides in BENCH_exec.json for visibility but is not gated (run-to-run
-/// scheduling spread on a loaded CI core exceeds the gate's noise model).
+/// Interpreter runtime end to end, one team worker per PE, timeline off.
+/// Dominated by the futex wake of each parked worker and the barrier
+/// crossings on a small box, so it rides in BENCH_exec.json for
+/// visibility but is not gated (run-to-run scheduling spread on a loaded
+/// CI core exceeds the gate's noise model).
 void BM_ExecRunBlocking(benchmark::State& state) {
   const Prepared p = prepare(static_cast<std::size_t>(state.range(0)));
   const exec::LoweredProgram lp = exec::lower(p.prog, *p.result.schedule);

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
                      TextTable::pct(f.barrier_frac.mean()),
                      TextTable::pct(f.serialized_frac.mean()),
                      TextTable::pct(f.static_frac.mean()),
-                     "[" + TextTable::num(f.completion_min.mean(), 1) + "," +
-                         TextTable::num(f.completion_max.mean(), 1) + "]",
+                     TextTable::interval(f.completion_min.mean(),
+                                         f.completion_max.mean(), 1),
                      TextTable::num(f.merges.mean(), 2)});
     }
   }

@@ -19,9 +19,10 @@
 # validates an emitted slow trace with trace_check.
 #
 # Benchmark regression gate (separate Release tree, build-bench/):
-#   --bench-gate   build build-bench/ (forced Release), run the gated
-#                  benchmarks with repetitions, and compare against the
-#                  committed BENCH_{sched,sim,batch}.json baselines
+#   --bench-gate   build build-bench/ (forced Release, warnings are
+#                  errors), run the gated benchmarks with repetitions,
+#                  and compare against the committed
+#                  BENCH_{sched,sim,batch}.json baselines
 #                  via scripts/bench_gate.py (fails on >10% + noise
 #                  regression of any gated benchmark). Also runs the
 #                  gate's selftest (a synthetic above-threshold slowdown must trip).
@@ -154,7 +155,7 @@ run_stats_smoke() {
 # Benchmark timing only means anything from the dedicated Release tree;
 # these modes skip the regular build/test pass entirely.
 if [[ "$bench_gate" -eq 1 || "$bench_regen" -eq 1 ]]; then
-  cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
+  cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release -DBM_WERROR=ON
   cmake --build build-bench \
       --target bench_scheduler_perf bench_sim_perf bench_batch_sim \
                bench_serve bench_exec bmrun

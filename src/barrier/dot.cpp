@@ -20,7 +20,9 @@ std::string instr_dag_to_dot(const InstrDag& dag, const Program& prog) {
   auto name = [&](NodeId n) -> std::string {
     if (n == dag.entry()) return "entry";
     if (n == dag.exit()) return "exit";
-    return "n" + std::to_string(n);
+    std::string s = "n";
+    s += std::to_string(n);
+    return s;
   };
   for (NodeId n = 0; n < dag.num_nodes(); ++n)
     for (NodeId s : dag.succs(n))

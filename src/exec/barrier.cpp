@@ -7,12 +7,6 @@
 
 #include "support/assert.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 namespace bm::exec {
 
 void cpu_relax() {
@@ -56,8 +50,8 @@ void Barrier::wait(Ticket t, WaitStats* stats) const {
 
 void Barrier::record_fire() const {
   if (fire_ns_ != nullptr)
-    // mo: pure timestamp payload read back only after the runtime joined
-    // (or otherwise synchronized with) the releasing thread.
+    // mo: pure timestamp payload read back only after the caller's team
+    // run completed (or it otherwise synchronized with the releaser).
     fire_ns_->store(steady_now_ns(), std::memory_order_relaxed);
 }
 
@@ -132,7 +126,8 @@ TreeBarrier::TreeBarrier(std::uint32_t participants, std::uint32_t spin_iters)
   for (std::size_t i = 0; i < num_nodes_; ++i) {
     nodes_[i].fanin = fanin[i];
     // mo: construction publishes via the caller's handoff to the PE
-    // threads (thread creation / start barrier), not via this store.
+    // threads (the team's release bump / start barrier), not via this
+    // store.
     nodes_[i].remaining.store(fanin[i], std::memory_order_relaxed);
     nodes_[i].parent = parent[i];
   }
@@ -192,20 +187,6 @@ std::unique_ptr<Barrier> make_barrier(BarrierKind kind,
       return std::make_unique<TreeBarrier>(participants, spin_iters);
   }
   throw Error("unknown BarrierKind");
-}
-
-bool pin_current_thread_to_cpu(unsigned cpu) {
-#if defined(__linux__)
-  const long ncpu = sysconf(_SC_NPROCESSORS_CONF);
-  if (ncpu <= 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % static_cast<unsigned>(ncpu), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace bm::exec

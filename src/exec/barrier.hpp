@@ -157,11 +157,6 @@ std::unique_ptr<Barrier> make_barrier(BarrierKind kind,
                                       std::uint32_t participants,
                                       std::uint32_t spin_iters);
 
-/// Pins the calling thread to one CPU (Linux affinity); returns false when
-/// unsupported or refused by the kernel. `cpu` is taken modulo the number
-/// of configured CPUs.
-bool pin_current_thread_to_cpu(unsigned cpu);
-
 /// Raw steady-clock reading in nanoseconds (the runtime's clock).
 std::uint64_t steady_now_ns();
 

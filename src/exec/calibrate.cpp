@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "exec/runtime.hpp"
+#include "exec/team.hpp"
 #include "support/assert.hpp"
 
 namespace bm::exec {
@@ -21,17 +21,12 @@ double measure_barrier_overhead_ns(BarrierKind kind,
   std::atomic<std::uint64_t> start_ns{0};
   start->set_fire_ns_sink(&start_ns);
 
-  std::vector<std::thread> threads;
-  threads.reserve(participants);
-  for (std::uint32_t slot = 0; slot < participants; ++slot) {
-    threads.emplace_back([&, slot] {
-      start->arrive_and_wait(slot);
-      for (std::uint32_t i = 0; i < rounds; ++i) bar->arrive_and_wait(slot);
-    });
-  }
-  for (std::thread& th : threads) th.join();
+  team_run(participants, false, [&](std::uint32_t slot) {
+    start->arrive_and_wait(slot);
+    for (std::uint32_t i = 0; i < rounds; ++i) bar->arrive_and_wait(slot);
+  });
   const std::uint64_t end_ns = steady_now_ns();
-  // mo: workers joined; post-mortem read.
+  // mo: the team run completed; post-run read.
   const std::uint64_t base = start_ns.load(std::memory_order_relaxed);
   const std::uint64_t wall = end_ns > base ? end_ns - base : 0;
   return static_cast<double>(wall) / static_cast<double>(rounds);

@@ -4,9 +4,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <vector>
 
+#include "exec/team.hpp"
 #include "support/assert.hpp"
 #include "support/ordered_mutex.hpp"
 
@@ -193,29 +193,23 @@ ExecResult JitModule::run(const ExecOptions& opts) const {
     mem[i] = opts.initial_memory[i];
   std::vector<std::int64_t> val(lp.num_values, 0);
   // Ready flags for the generated code's bm_await/bm_done handshakes; the
-  // host only zero-fills before spawning, the TU's __atomic builtins do
-  // the release/acquire during the run.
+  // host only zero-fills before the team run, the TU's __atomic builtins
+  // do the release/acquire during the run.
   std::vector<unsigned char> ready(lp.num_values, 0);
   std::vector<std::uint64_t> finish_raw(lp.num_procs, 0);
 
   AbiCtx ctx{mem.data(), val.data(), ready.data(), &run, &barrier_trampoline};
-  std::vector<std::thread> threads;
-  threads.reserve(lp.num_procs);
-  for (std::uint32_t p = 0; p < lp.num_procs; ++p) {
-    threads.emplace_back([&, p] {
-      if (opts.pin) pin_current_thread_to_cpu(p);
-      WaitStats stats;
-      tls_wait_stats = &stats;
-      start->arrive_and_wait(p);
-      impl_->fns[p](&ctx);
-      if (opts.timeline) finish_raw[p] = steady_now_ns();
-      tls_wait_stats = nullptr;
-      OrderedLock lk(run.stats_mu);
-      run.total.spins += stats.spins;
-      run.total.yields += stats.yields;
-    });
-  }
-  for (std::thread& th : threads) th.join();
+  team_run(lp.num_procs, opts.pin, [&](std::uint32_t p) {
+    WaitStats stats;
+    tls_wait_stats = &stats;
+    start->arrive_and_wait(p);
+    impl_->fns[p](&ctx);
+    if (opts.timeline) finish_raw[p] = steady_now_ns();
+    tls_wait_stats = nullptr;
+    OrderedLock lk(run.stats_mu);
+    run.total.spins += stats.spins;
+    run.total.yields += stats.yields;
+  });
   const std::uint64_t end_ns = steady_now_ns();
 
   ExecResult r;
@@ -225,14 +219,14 @@ ExecResult JitModule::run(const ExecOptions& opts) const {
   r.blocking = true;
   r.spins = run.total.spins;
   r.yields = run.total.yields;
-  // mo: workers joined above; plain post-mortem reads.
+  // mo: the team run above completed; plain post-run reads.
   const std::uint64_t base = start_raw.load(std::memory_order_relaxed);
   r.wall_ns = end_ns > base ? end_ns - base : 0;
   r.barrier_fire_ns.assign(lp.barriers.size(), 0);
   r.pe_finish_ns.assign(lp.num_procs, 0);
   if (opts.timeline) {
     for (std::size_t b = 0; b < lp.barriers.size(); ++b) {
-      // mo: same join-ordered read.
+      // mo: same post-run read, ordered by team_run.
       const std::uint64_t f = fire[b].load(std::memory_order_relaxed);
       r.barrier_fire_ns[b] = f > base ? f - base : 0;
     }

@@ -1,6 +1,6 @@
 // Compile-and-load backend: emit_cpp() output built with the system
-// compiler into a shared object, loaded with dlopen, and run with one OS
-// thread per PE. This is the "run the schedule as real machine code" leg —
+// compiler into a shared object, loaded with dlopen, and run with one
+// worker of the caller's persistent team (exec/team.hpp) per PE. This is the "run the schedule as real machine code" leg —
 // the interpreter in exec/runtime.hpp is the portable reference, the JIT
 // leg checks that the *emitted* code computes the same state.
 //
@@ -40,7 +40,7 @@ class JitModule {
   JitModule(const JitModule&) = delete;
   JitModule& operator=(const JitModule&) = delete;
 
-  /// Runs the compiled PE functions, one OS thread per PE (blocking
+  /// Runs the compiled PE functions, one team worker per PE (blocking
   /// barrier waits). `opts.threads` is ignored; barrier kind, spin_iters,
   /// pin, timeline and initial_memory are honored.
   ExecResult run(const ExecOptions& opts = {}) const;

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "exec/team.hpp"
 #include "ir/opcode.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
@@ -14,7 +15,7 @@ namespace bm::exec {
 
 namespace {
 
-/// Everything the worker threads share for one execute() call.
+/// Everything the team's workers share for one execute() call.
 struct Run {
   const LoweredProgram* lp = nullptr;
   std::vector<std::unique_ptr<Barrier>> bars;  ///< dense barrier index
@@ -29,7 +30,6 @@ struct Run {
   std::vector<std::uint64_t> pe_finish_raw_ns;  ///< one writer per slot
   std::uint32_t spin_iters = 0;
   bool timeline = false;
-  bool pin = false;
 
   // Aggregated wait accounting, merged once per worker at stream end.
   OrderedMutex stats_mu{LockLevel::kExecRuntime, "exec_runtime_stats"};
@@ -92,10 +92,9 @@ void note_pe_finish(Run& run, std::uint32_t pe) {
   if (run.timeline) run.pe_finish_raw_ns[pe] = steady_now_ns();
 }
 
-/// Blocking worker: PE `p` on its own OS thread; real barrier waits,
+/// Blocking worker: PE `p` on its own team worker; real barrier waits,
 /// blocking flag awaits.
 void run_pe_blocking(Run& run, std::uint32_t p) {
-  if (run.pin) pin_current_thread_to_cpu(p);
   WaitStats stats;
   std::uint64_t waits = 0;
   run.start->arrive_and_wait(p);
@@ -140,7 +139,6 @@ struct PeTask {
 /// because neither barriers (split arrive/poll) nor flag handshakes ever
 /// block a carrier.
 void run_carrier(Run& run, std::uint32_t tid, std::uint32_t num_carriers) {
-  if (run.pin) pin_current_thread_to_cpu(tid);
   std::vector<PeTask> tasks;
   for (std::uint32_t p = tid; p < run.lp->num_procs; p += num_carriers)
     tasks.push_back(PeTask{.pe = p});
@@ -233,7 +231,6 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
   Run run;
   run.lp = &lp;
   run.timeline = opts.timeline;
-  run.pin = opts.pin;
   run.spin_iters = opts.spin_iters;
   run.mem.assign(lp.num_vars, 0);
   for (std::size_t i = 0; i < opts.initial_memory.size() && i < run.mem.size();
@@ -242,7 +239,8 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
   run.val.assign(lp.num_values, 0);
   run.ready = std::make_unique<std::atomic<std::uint8_t>[]>(lp.num_values);
   for (std::uint32_t i = 0; i < lp.num_values; ++i)
-    // mo: pre-spawn initialization; published to workers by thread creation.
+    // mo: pre-run initialization; published to the workers by the team's
+    // release bump of their generation words.
     run.ready[i].store(0, std::memory_order_relaxed);
   run.pe_finish_raw_ns.assign(lp.num_procs, 0);
 
@@ -267,16 +265,13 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
 
   {
     BM_OBS_SPAN(span, "exec.execute", "exec");
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t t = 0; t < workers; ++t) {
-      if (blocking)
-        threads.emplace_back([&run, t] { run_pe_blocking(run, t); });
-      else
-        threads.emplace_back(
-            [&run, t, workers] { run_carrier(run, t, workers); });
-    }
-    for (std::thread& th : threads) th.join();
+    if (blocking)
+      team_run(workers, opts.pin,
+               [&run](std::uint32_t p) { run_pe_blocking(run, p); });
+    else
+      team_run(workers, opts.pin, [&run, workers](std::uint32_t t) {
+        run_carrier(run, t, workers);
+      });
   }
   const std::uint64_t end_ns = steady_now_ns();
 
@@ -287,15 +282,15 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
   r.blocking = blocking;
   r.spins = run.total.spins;
   r.yields = run.total.yields;
-  // mo: all workers are joined; these loads are ordered after every store
-  // by the join itself.
+  // mo: team_run returned; its acquire-wait on the pending count orders
+  // these loads after every store of the run.
   const std::uint64_t base = run.start_raw_ns.load(std::memory_order_relaxed);
   r.wall_ns = end_ns > base ? end_ns - base : 0;
   r.barrier_fire_ns.assign(lp.barriers.size(), 0);
   r.pe_finish_ns.assign(lp.num_procs, 0);
   if (opts.timeline) {
     for (std::size_t b = 0; b < lp.barriers.size(); ++b) {
-      // mo: same join-ordered post-mortem read as above.
+      // mo: same post-run read as above, ordered by team_run.
       const std::uint64_t f =
           run.fire_raw_ns[b].load(std::memory_order_relaxed);
       r.barrier_fire_ns[b] = f > base ? f - base : 0;

@@ -19,6 +19,10 @@
 //     core) cannot deadlock even though several PEs of one barrier share a
 //     carrier.
 //
+// Either way the threads are workers of the calling thread's persistent
+// team (exec/team.hpp): started on first use, parked between runs, and
+// joined when the calling thread exits — a run spawns no thread.
+//
 // Shared instruction state (the memory/value arrays) is accessed with *no*
 // synchronization beyond the lowered barriers; the verifier gate in
 // lower() is what makes that sound, and TSan over the differential suite
@@ -58,7 +62,7 @@ struct ExecResult {
   std::vector<std::uint64_t> barrier_fire_ns;
   /// Measured per-PE stream completion, ns since the start line released.
   std::vector<std::uint64_t> pe_finish_ns;
-  std::uint64_t wall_ns = 0;  ///< start-line release -> last join
+  std::uint64_t wall_ns = 0;  ///< start-line release -> last PE done
   std::uint64_t spins = 0;    ///< summed across all waiters
   std::uint64_t yields = 0;
   std::uint32_t carrier_threads = 0;  ///< OS threads actually used

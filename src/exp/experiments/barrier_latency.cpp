@@ -45,8 +45,8 @@ Experiment make_barrier_latency() {
       table.add_row({sweep.label(i), TextTable::pct(f.barrier_frac.mean()),
                      TextTable::pct(f.serialized_frac.mean()),
                      TextTable::pct(f.static_frac.mean()),
-                     "[" + TextTable::num(f.completion_min.mean(), 1) + "," +
-                         TextTable::num(f.completion_max.mean(), 1) + "]",
+                     TextTable::interval(f.completion_min.mean(),
+                                         f.completion_max.mean(), 1),
                      TextTable::num(agg.norm_mean.mean(), 3)});
       csv.write_row({sweep.label(i), std::to_string(f.barrier_frac.mean()),
                      std::to_string(f.completion_min.mean()),

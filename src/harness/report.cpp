@@ -38,8 +38,8 @@ void print_fraction_series(const std::string& x_label,
                    TextTable::num(f.barriers.mean(), 2),
                    TextTable::num(f.implied_syncs.mean(), 1),
                    TextTable::num(f.procs_used.mean(), 1),
-                   "[" + TextTable::num(f.completion_min.mean(), 1) + "," +
-                       TextTable::num(f.completion_max.mean(), 1) + "]"});
+                   TextTable::interval(f.completion_min.mean(),
+                                       f.completion_max.mean(), 1)});
   }
   table.render(std::cout);
 

@@ -63,8 +63,10 @@ std::string Program::to_string(const std::vector<TimeRange>& asap) const {
   auto operand_str = [&](const Operand& o) {
     // Tuple references render by uid so they match the left column (the
     // paper's tuple numbers survive optimization with gaps).
-    if (o.is_const()) return "#" + std::to_string(o.const_value());
-    return std::to_string(tuples_[o.tuple_id()].uid);
+    if (!o.is_const()) return std::to_string(tuples_[o.tuple_id()].uid);
+    std::string s = "#";
+    s += std::to_string(o.const_value());
+    return s;
   };
   auto render = [&](const Tuple& t) {
     std::ostringstream ts;

@@ -68,8 +68,10 @@ std::string var_name(VarId v) {
 
 namespace {
 std::string operand_str(const Operand& o) {
-  if (o.is_const()) return "#" + std::to_string(o.const_value());
-  return std::to_string(o.tuple_id());
+  if (!o.is_const()) return std::to_string(o.tuple_id());
+  std::string s = "#";
+  s += std::to_string(o.const_value());
+  return s;
 }
 }  // namespace
 

@@ -115,8 +115,10 @@ Schedule schedule_from_text(const InstrDag& dag, const std::string& text) {
     std::istringstream ls(line);
     std::string head;
     ls >> head;
-    BM_REQUIRE(head == "P" + std::to_string(p) + ":",
-               "unexpected stream header: " + head);
+    std::string want = "P";
+    want += std::to_string(p);
+    want += ':';
+    BM_REQUIRE(head == want, "unexpected stream header: " + head);
     std::string token;
     while (ls >> token) {
       BM_REQUIRE(token.size() >= 2 && (token[0] == 'n' || token[0] == 'B'),

@@ -35,7 +35,8 @@ std::string render_gantt(const Schedule& sched, const ExecTrace& trace,
       const std::size_t to = std::max(col(finish), from + 1);
       // Fill the span, then stamp the label over the leading cells.
       for (std::size_t c = from; c < to && c < row.size(); ++c) row[c] = '=';
-      const std::string label = "n" + std::to_string(e.id);
+      std::string label = "n";
+      label += std::to_string(e.id);
       for (std::size_t k = 0; k < label.size() && from + k < to; ++k)
         row[from + k] = label[k];
     }

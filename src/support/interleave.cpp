@@ -16,6 +16,16 @@ struct AbortExec {};
 
 std::string u64s(std::uint64_t v) { return std::to_string(v); }
 
+/// "T<tid> ", the prefix of every event-log line. Built by appending: a
+/// chain that starts with `"T" + std::to_string(...)` trips GCC 12's
+/// -Wrestrict false positive at -O3.
+std::string thread_tag(int tid) {
+  std::string tag = "T";
+  tag += std::to_string(tid);
+  tag += ' ';
+  return tag;
+}
+
 }  // namespace
 
 const char* memorder_name(MemOrder mo) {
@@ -424,7 +434,7 @@ std::uint64_t Explorer::cell_load(CellState& c, MemOrder mo) {
   else
     t.pending_acquire.join(s.release);
   tick(tid);
-  log_event("T" + std::to_string(tid) + " " + c.name() + ".load(" +
+  log_event(thread_tag(tid) + c.name() + ".load(" +
             memorder_name(mo) + ") = " + u64s(s.value) + " [store#" +
             std::to_string(idx) + "]");
   return s.value;
@@ -443,7 +453,7 @@ void Explorer::cell_store(CellState& c, std::uint64_t val, MemOrder mo) {
   s.release = has_release(mo) ? t.clock : t.pending_release;
   c.stores_.push_back(s);
   c.last_read_[tid] = static_cast<int>(c.stores_.size()) - 1;
-  log_event("T" + std::to_string(tid) + " " + c.name() + ".store(" +
+  log_event(thread_tag(tid) + c.name() + ".store(" +
             u64s(val) + ", " + memorder_name(mo) + ")");
 }
 
@@ -482,7 +492,7 @@ void Explorer::cell_await_load(CellState& c) {
   t.clock.join(s.release);  // await is an acquire read of the latest store
   c.last_read_[tid] = static_cast<int>(c.stores_.size()) - 1;
   tick(tid);
-  log_event("T" + std::to_string(tid) + " " + c.name() + ".await -> " +
+  log_event(thread_tag(tid) + c.name() + ".await -> " +
             u64s(s.value));
 }
 
@@ -496,7 +506,7 @@ std::uint64_t Explorer::plain_read(PlainState& p) {
              std::to_string(p.last_writer()) + " unsynchronized write");
   tick(tid);
   p.note_read(tid, t.clock);
-  log_event("T" + std::to_string(tid) + " " + p.name() + ".read = " +
+  log_event(thread_tag(tid) + p.name() + ".read = " +
             u64s(p.peek()));
   return p.peek();
 }
@@ -512,7 +522,7 @@ void Explorer::plain_write(PlainState& p, std::uint64_t val) {
              " unsynchronized access");
   tick(tid);
   p.note_write(tid, t.clock, val);
-  log_event("T" + std::to_string(tid) + " " + p.name() + ".write(" +
+  log_event(thread_tag(tid) + p.name() + ".write(" +
             u64s(val) + ")");
 }
 
@@ -522,7 +532,7 @@ void Explorer::mutex_lock(Mutex& m) {
   m.held_by_ = tid;
   threads_[tid].clock.join(m.clock_);
   tick(tid);
-  log_event("T" + std::to_string(tid) + " " + m.name_ + ".lock()");
+  log_event(thread_tag(tid) + m.name_ + ".lock()");
 }
 
 void Explorer::mutex_unlock(Mutex& m) {
@@ -534,7 +544,7 @@ void Explorer::mutex_unlock(Mutex& m) {
   tick(tid);
   m.clock_.join(threads_[tid].clock);
   m.held_by_ = -1;
-  log_event("T" + std::to_string(tid) + " " + m.name_ + ".unlock()");
+  log_event(thread_tag(tid) + m.name_ + ".unlock()");
 }
 
 void Explorer::fence_op(MemOrder mo) {
@@ -545,7 +555,7 @@ void Explorer::fence_op(MemOrder mo) {
     t.clock.join(t.pending_acquire);
     t.pending_acquire.clear();
   }
-  log_event("T" + std::to_string(tid) + " fence(" + memorder_name(mo) + ")");
+  log_event(thread_tag(tid) + "fence(" + memorder_name(mo) + ")");
 }
 
 // -- model-facing wrappers ---------------------------------------------------
@@ -604,7 +614,7 @@ std::uint64_t CellState::fetch_add(std::uint64_t d, MemOrder mo) {
                    std::string(name_) + ".fetch_add"));
   const std::uint64_t old = ex.cell_rmw_read(*this, mo);
   ex.cell_rmw_write(*this, old + d, mo);
-  ex.log_event("T" + std::to_string(cur_tid()) + " " + name_ +
+  ex.log_event(thread_tag(cur_tid()) + name_ +
                ".fetch_add(" + u64s(d) + ", " + memorder_name(mo) +
                ") = " + u64s(old));
   return old;
@@ -616,7 +626,7 @@ std::uint64_t CellState::exchange(std::uint64_t val, MemOrder mo) {
                    std::string(name_) + ".exchange"));
   const std::uint64_t old = ex.cell_rmw_read(*this, mo);
   ex.cell_rmw_write(*this, val, mo);
-  ex.log_event("T" + std::to_string(cur_tid()) + " " + name_ +
+  ex.log_event(thread_tag(cur_tid()) + name_ +
                ".exchange(" + u64s(val) + ", " + memorder_name(mo) +
                ") = " + u64s(old));
   return old;
@@ -630,7 +640,7 @@ bool CellState::compare_exchange(std::uint64_t& expected,
   const std::uint64_t old = ex.cell_rmw_read(*this, mo);
   const bool ok = old == expected;
   if (ok) ex.cell_rmw_write(*this, desired, mo);
-  ex.log_event("T" + std::to_string(cur_tid()) + " " + name_ + ".cas(" +
+  ex.log_event(thread_tag(cur_tid()) + name_ + ".cas(" +
                u64s(expected) + " -> " + u64s(desired) + ", " +
                memorder_name(mo) + ") = " + (ok ? "ok" : "fail"));
   expected = old;

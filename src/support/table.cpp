@@ -25,6 +25,13 @@ std::string TextTable::num(double v, int precision) {
   return os.str();
 }
 
+std::string TextTable::interval(double lo, double hi, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << '[' << lo << ',' << hi
+     << ']';
+  return os.str();
+}
+
 std::string TextTable::pct(double fraction, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << fraction * 100.0 << '%';

@@ -18,6 +18,8 @@ class TextTable {
   /// Convenience: formats doubles with the given precision.
   static std::string num(double v, int precision = 3);
   static std::string pct(double fraction, int precision = 1);
+  /// "[lo,hi]", both ends formatted as num() does.
+  static std::string interval(double lo, double hi, int precision = 3);
 
   void render(std::ostream& os) const;
   std::string to_string() const;

@@ -17,6 +17,8 @@
 //     store of the cancel flag, acquire check before touching the reason.
 //   - Exactly-once response teardown (serve/core.cpp PendingReq):
 //     exchange on an answered flag arbitrates worker vs teardown.
+//   - The native runtimes' worker-team dispatch (exec/team.cpp): job
+//     publish, per-worker generation bump, pending-count drain.
 #include "support/interleave.hpp"
 
 #include <gtest/gtest.h>
@@ -511,6 +513,96 @@ TEST(InterleaveMutantTest, BarrierResetAfterReleaseIsCaught) {
   const ix::Result r = run(
       [](ix::Env& env) { bar_model(env, BarMutant::kResetAfterRelease); });
   ASSERT_TRUE(r.violation.has_value()) << "reset/publish reorder escaped";
+}
+
+// -- exec worker-team dispatch (exec/team.cpp) -------------------------------
+
+// Miniature of the team's run/worker handoff: two runs back to back on one
+// team of two workers, the first with both, the second with worker 0 only.
+// The owner writes the job, arms the pending count, tags the run's workers
+// with the new generation, release-stores the team's generation word and
+// waits for the count to drain (acquire), then reads what the workers
+// wrote, as execute() reads the lowered memory the PEs wrote. A worker
+// acquire-waits for the generation; holding its tag, it reads the job,
+// writes its output and decrements the count (acq_rel). Without the tag
+// (worker 1 in run 2) it must touch nothing of the job. The second job's
+// write must be ordered after the first run's job reads, which only the
+// drained count provides.
+struct TeamSt {
+  static constexpr std::uint64_t kRuns = 2;
+  /// Workers taking part in `run` (1-based).
+  static std::uint64_t width(std::uint64_t run) { return run == 1 ? 2 : 1; }
+  ix::Plain<std::uint64_t> job{"team.job", 0};
+  ix::Cell<std::uint64_t> gen{"team.gen", 0};
+  ix::Cell<std::uint64_t> tag0{"worker0.tag", 0};
+  ix::Cell<std::uint64_t> tag1{"worker1.tag", 0};
+  ix::Cell<std::uint64_t> pending{"team.pending", 0};
+  ix::Plain<std::uint64_t> out0{"pe0.out", 0};
+  ix::Plain<std::uint64_t> out1{"pe1.out", 0};
+};
+
+enum class TeamMutant { kNone, kRelaxedDecrement, kPublishAfterBump };
+
+void team_model(ix::Env& env, TeamMutant mutant) {
+  auto st = std::make_shared<TeamSt>();
+  env.thread([st, mutant] {  // owner: Team::run
+    for (std::uint64_t run = 1; run <= TeamSt::kRuns; ++run) {
+      const std::uint64_t n = TeamSt::width(run);
+      if (mutant != TeamMutant::kPublishAfterBump) st->job.write(run);
+      st->pending.store(n, mo::kRelaxed);
+      st->tag0.store(run, mo::kRelaxed);
+      if (n == 2) st->tag1.store(run, mo::kRelaxed);
+      st->gen.store(run, mo::kRelease);
+      // Seeded race: the job lands after the bump a worker may already
+      // have acquired.
+      if (mutant == TeamMutant::kPublishAfterBump) st->job.write(run);
+      st->pending.await_eq(0);  // models pending_.wait's acquire loop
+      ix::check(st->out0.read() == 10 * run + 1 &&
+                    (n < 2 || st->out1.read() == 10 * run + 2),
+                "owner read a stale PE output");
+    }
+  });
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    env.thread([st, mutant, k] {  // worker k: Team::work
+      ix::Cell<std::uint64_t>& tag = k == 0 ? st->tag0 : st->tag1;
+      ix::Plain<std::uint64_t>& out = k == 0 ? st->out0 : st->out1;
+      // Seeded race: a relaxed decrement releases nothing to the owner.
+      const auto order = mutant == TeamMutant::kRelaxedDecrement
+                             ? mo::kRelaxed
+                             : mo::kAcqRel;
+      for (std::uint64_t run = 1; run <= TeamSt::kRuns; ++run) {
+        st->gen.await_eq(run);  // models gen_.wait's acquire loop
+        if (tag.load(mo::kRelaxed) != run) continue;  // not in this run
+        out.write(10 * st->job.read() + k + 1);
+        st->pending.fetch_add(~std::uint64_t{0}, order);  // -1
+      }
+    });
+  }
+  env.invariant("both runs drained",
+                [st] { return st->pending.peek() == 0; });
+}
+
+TEST(InterleaveTest, TeamDispatchIsClean) {
+  const ix::Result r =
+      run([](ix::Env& env) { team_model(env, TeamMutant::kNone); });
+  EXPECT_TRUE(r.ok()) << describe(r);
+  EXPECT_TRUE(r.complete) << "team model space must be fully explored";
+}
+
+TEST(InterleaveMutantTest, TeamRelaxedDecrementIsCaught) {
+  const ix::Result r = run(
+      [](ix::Env& env) { team_model(env, TeamMutant::kRelaxedDecrement); });
+  ASSERT_TRUE(r.violation.has_value()) << "relaxed decrement escaped";
+  EXPECT_EQ(r.violation->kind, ix::Violation::Kind::kDataRace)
+      << describe(r);
+}
+
+TEST(InterleaveMutantTest, TeamPublishAfterBumpIsCaught) {
+  const ix::Result r = run(
+      [](ix::Env& env) { team_model(env, TeamMutant::kPublishAfterBump); });
+  ASSERT_TRUE(r.violation.has_value()) << "publish after bump escaped";
+  EXPECT_EQ(r.violation->kind, ix::Violation::Kind::kDataRace)
+      << describe(r);
 }
 
 // -- reduction cross-check ---------------------------------------------------
