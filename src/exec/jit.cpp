@@ -8,7 +8,6 @@
 
 #include "exec/team.hpp"
 #include "support/assert.hpp"
-#include "support/ordered_mutex.hpp"
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <dlfcn.h>
@@ -60,8 +59,6 @@ bool compiler_answers(const std::string& cxx) {
 struct JitRun {
   std::vector<std::unique_ptr<Barrier>> bars;
   std::vector<std::atomic<std::uint64_t>>* fire = nullptr;
-  OrderedMutex stats_mu{LockLevel::kExecRuntime, "exec_jit_stats"};
-  WaitStats total;
 };
 
 thread_local WaitStats* tls_wait_stats = nullptr;
@@ -198,17 +195,16 @@ ExecResult JitModule::run(const ExecOptions& opts) const {
   std::vector<unsigned char> ready(lp.num_values, 0);
   std::vector<std::uint64_t> finish_raw(lp.num_procs, 0);
 
+  // Wait accounting, one slot per PE (one writer each), summed below.
+  std::vector<WaitStats> stats(lp.num_procs);
+
   AbiCtx ctx{mem.data(), val.data(), ready.data(), &run, &barrier_trampoline};
   team_run(lp.num_procs, opts.pin, [&](std::uint32_t p) {
-    WaitStats stats;
-    tls_wait_stats = &stats;
+    tls_wait_stats = &stats[p];
     start->arrive_and_wait(p);
     impl_->fns[p](&ctx);
     if (opts.timeline) finish_raw[p] = steady_now_ns();
     tls_wait_stats = nullptr;
-    OrderedLock lk(run.stats_mu);
-    run.total.spins += stats.spins;
-    run.total.yields += stats.yields;
   });
   const std::uint64_t end_ns = steady_now_ns();
 
@@ -217,8 +213,10 @@ ExecResult JitModule::run(const ExecOptions& opts) const {
   r.values = std::move(val);
   r.carrier_threads = lp.num_procs;
   r.blocking = true;
-  r.spins = run.total.spins;
-  r.yields = run.total.yields;
+  for (const WaitStats& s : stats) {
+    r.spins += s.spins;
+    r.yields += s.yields;
+  }
   // mo: the team run above completed; plain post-run reads.
   const std::uint64_t base = start_raw.load(std::memory_order_relaxed);
   r.wall_ns = end_ns > base ? end_ns - base : 0;

@@ -9,7 +9,6 @@
 #include "ir/opcode.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
-#include "support/ordered_mutex.hpp"
 
 namespace bm::exec {
 
@@ -31,17 +30,13 @@ struct Run {
   std::uint32_t spin_iters = 0;
   bool timeline = false;
 
-  // Aggregated wait accounting, merged once per worker at stream end.
-  OrderedMutex stats_mu{LockLevel::kExecRuntime, "exec_runtime_stats"};
-  WaitStats total;
-  std::uint64_t barrier_waits = 0;
-
-  void merge(const WaitStats& s, std::uint64_t waits) {
-    OrderedLock lk(stats_mu);
-    total.spins += s.spins;
-    total.yields += s.yields;
-    barrier_waits += waits;
-  }
+  /// Wait accounting, one slot per worker (one writer each, at stream
+  /// end), summed once the team run has returned.
+  struct Tally {
+    WaitStats stats;
+    std::uint64_t barrier_waits = 0;
+  };
+  std::vector<Tally> tallies;
 };
 
 bool flag_set(const Run& run, std::uint32_t id) {
@@ -113,7 +108,7 @@ void run_pe_blocking(Run& run, std::uint32_t p) {
     }
   }
   note_pe_finish(run, p);
-  run.merge(stats, waits);
+  run.tallies[p] = {stats, waits};
 }
 
 /// One PE stream's progress inside a cooperative carrier. A PE can be
@@ -217,7 +212,7 @@ void run_carrier(Run& run, std::uint32_t tid, std::uint32_t num_carriers) {
       std::this_thread::yield();
     }
   }
-  run.merge(stats, waits);
+  run.tallies[tid] = {stats, waits};
 }
 
 }  // namespace
@@ -246,6 +241,7 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
 
   const bool blocking = opts.threads == 0 || opts.threads >= lp.num_procs;
   const std::uint32_t workers = blocking ? lp.num_procs : opts.threads;
+  run.tallies.resize(workers);
 
   run.bars.reserve(lp.barriers.size());
   std::vector<std::atomic<std::uint64_t>> fire(lp.barriers.size());
@@ -280,8 +276,12 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
   r.values = std::move(run.val);
   r.carrier_threads = workers;
   r.blocking = blocking;
-  r.spins = run.total.spins;
-  r.yields = run.total.yields;
+  [[maybe_unused]] std::uint64_t barrier_waits = 0;  // BM_OBS only
+  for (const Run::Tally& t : run.tallies) {
+    r.spins += t.stats.spins;
+    r.yields += t.stats.yields;
+    barrier_waits += t.barrier_waits;
+  }
   // mo: team_run returned; its acquire-wait on the pending count orders
   // these loads after every store of the run.
   const std::uint64_t base = run.start_raw_ns.load(std::memory_order_relaxed);
@@ -300,7 +300,7 @@ ExecResult execute(const LoweredProgram& lp, const ExecOptions& opts) {
       r.pe_finish_ns[p] = f > base ? f - base : 0;
     }
   }
-  BM_OBS_COUNT_N("exec.barrier_waits", run.barrier_waits);
+  BM_OBS_COUNT_N("exec.barrier_waits", barrier_waits);
   BM_OBS_COUNT_N("exec.spins", r.spins);
   BM_OBS_COUNT_N("exec.yields", r.yields);
   if (!blocking) BM_OBS_COUNT("exec.oversubscribed_runs");

@@ -34,6 +34,15 @@ bool pin_current_thread_to_cpu(unsigned cpu) {
 #endif
 }
 
+/// The CPU the calling thread is running on; -1 where unknown.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
 class Team {
  public:
   Team() {
@@ -70,6 +79,12 @@ class Team {
     }
     fn_ = &fn;
     pin_ = pin;
+    run_n_ = n;
+#if defined(__linux__)
+    const auto cpus = static_cast<std::size_t>(CPU_COUNT(&start_mask_));
+    spread_ = !pin && have_start_mask_ && workers_.size() < cpus;
+#endif
+    if (spread_) owner_cpu_ = current_cpu();
     // mo: no worker is inside a run (the previous run's acquire-wait saw
     // every decrement); the release store in post() publishes this store.
     pending_.store(n, std::memory_order_relaxed);
@@ -86,6 +101,8 @@ class Team {
   /// not share lines.
   struct alignas(64) Worker {
     std::atomic<std::uint32_t> run_gen{0};  ///< tag: last run it is in
+    /// The CPU it started its last spread run on (see spread()); -1 none.
+    std::atomic<int> cpu{-1};
     bool pinned = false;                    ///< worker-private
     std::thread th;
   };
@@ -115,10 +132,53 @@ class Team {
         restore_affinity();
         w.pinned = false;
       }
+      if (spread_) spread(w);
       (*fn_)(id);
       if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
         pending_.notify_one();
     }
+  }
+
+  /// Moves the calling worker off a CPU it shares with the owner or with
+  /// another worker of this run. A fresh thread per run was placed by the
+  /// scheduler's fork balancing; a persistent worker is woken on the CPU it
+  /// last ran on, so two workers that once landed on one CPU keep meeting
+  /// there, and every barrier of every later run hands that CPU back and
+  /// forth. The worker sets its affinity to one CPU no teammate claims,
+  /// which migrates it there, then restores the owner's start mask, which
+  /// leaves it where it landed: its affinity is unchanged and its next
+  /// wake-up starts from the new CPU.
+  void spread(Worker& w) {
+#if defined(__linux__)
+    const int cpu = current_cpu();
+    const auto claimed = [&](int c) {
+      if (c == owner_cpu_) return true;
+      for (std::uint32_t k = 0; k < run_n_; ++k)
+        // mo: a placement hint; a stale CPU only costs or saves one move.
+        if (workers_[k].get() != &w &&
+            workers_[k]->cpu.load(std::memory_order_relaxed) == c)
+          return true;
+      return false;
+    };
+    int at = cpu;
+    if (cpu >= 0 && claimed(cpu)) {
+      for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (!CPU_ISSET(c, &start_mask_) || claimed(c)) continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(c, &one);
+        if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+          restore_affinity();
+          at = c;
+        }
+        break;
+      }
+    }
+    // mo: a placement hint, read by teammates with relaxed loads.
+    w.cpu.store(at, std::memory_order_relaxed);
+#else
+    (void)w;
+#endif
   }
 
   /// Drops a pin left by an earlier run: back to the owner's mask at team
@@ -135,6 +195,11 @@ class Team {
   // gen_, read only by workers holding that generation's tag.
   const std::function<void(std::uint32_t)>* fn_ = nullptr;
   bool pin_ = false;
+  std::uint32_t run_n_ = 0;
+  /// Whether this run's workers spread out (see spread()): not on a pinned
+  /// run, and only while the owner and every worker fit on a CPU each.
+  bool spread_ = false;
+  int owner_cpu_ = -1;  ///< where the owner posted this run from
 
   alignas(64) std::atomic<std::uint32_t> gen_{0};
   alignas(64) std::atomic<std::uint32_t> pending_{0};

@@ -19,6 +19,12 @@
 // workers block in std::atomic::wait (a futex), so a parked team uses no
 // CPU. tests/interleave_test.cpp model-checks this handoff.
 //
+// Spreading: a worker that starts an unpinned run on a CPU the owner or
+// another worker of the run last claimed moves itself to an unclaimed CPU
+// of the owner's start mask (one-CPU affinity, then the start mask back),
+// so teammates do not keep sharing a CPU from run to run. Only while the
+// owner and every worker fit on a CPU each.
+//
 // An exception escaping fn terminates the process, as it did when each PE
 // was a std::thread of its own.
 #pragma once
@@ -32,7 +38,9 @@ namespace bm::exec {
 /// calling thread's team, and returns once every call has returned.
 /// `pin`: worker k pins itself to CPU k (mod configured CPUs) for this run;
 /// on a run without `pin`, a worker that pinned itself earlier first
-/// restores the affinity mask its owner had when the team started.
+/// restores the affinity mask its owner had when the team started, and
+/// may then move to another CPU of that mask (spreading, above) without
+/// changing its mask.
 void team_run(std::uint32_t n, bool pin,
               const std::function<void(std::uint32_t)>& fn);
 

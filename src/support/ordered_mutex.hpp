@@ -72,10 +72,6 @@ enum class LockLevel : std::uint16_t {
   /// worker dequeues with no other bm lock held, and the enqueue path may
   /// run under any of the layers above.
   kThreadPool = 70,
-  /// exec/runtime.cpp Runtime stats_mu_ — per-thread WaitStats merge at PE
-  /// stream completion. A leaf like kThreadPool: held for a few adds with
-  /// no other bm lock held, and never on the instruction/barrier fast path.
-  kExecRuntime = 80,
   /// Testing only (ordered_mutex_test.cpp).
   kTestLow = 1000,
   kTestMid = 1010,

@@ -1,8 +1,9 @@
 // The native runtimes' persistent worker team (exec/team.hpp): runs of
 // changing width reuse one team and stay equal to the eval_program oracle,
 // concurrent callers each get their own team, a caller's exit joins its
-// team, a pin does not outlive the run that asked for it, and a parked
-// team burns no CPU. TSan runs this binary in the tsan CI job.
+// team, a pin does not outlive the run that asked for it, spreading
+// workers over CPUs never narrows their affinity mask, and a parked team
+// burns no CPU. TSan runs this binary in the tsan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +88,20 @@ std::size_t task_count() {
 #endif
 }
 
+/// task_count() once it holds still: join() returns when a thread has
+/// released its memory, a moment before the kernel drops its /proc entry,
+/// so threads that earlier tests joined may still be listed.
+std::size_t settled_task_count() {
+  std::size_t n = task_count();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t again = task_count();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
+}
+
 TEST(ExecTeamTest, BackToBackRunsAtChangingWidthsMatchOracle) {
   std::size_t threads_after_8 = 0;
   for (const std::size_t procs : {2, 8, 3}) {
@@ -137,7 +152,7 @@ TEST(ExecTeamTest, ExitingCallerJoinsItsTeam) {
   GTEST_SKIP() << "counts threads through /proc/self/task";
 #else
   const std::unique_ptr<Case> c = build_case(3, 11);
-  const std::size_t before = task_count();
+  const std::size_t before = settled_task_count();
   std::size_t during = 0;
   bool ok = false;
   std::thread caller([&] {
@@ -186,6 +201,31 @@ TEST(ExecTeamTest, UnpinnedRunDropsAnEarlierPin) {
       }
       EXPECT_TRUE(CPU_EQUAL(&unpinned[id], &start))
           << "worker " << id << " kept a stale pin";
+    }
+  });
+  caller.join();
+#endif
+}
+
+TEST(ExecTeamTest, SpreadingKeepsTheStartMask) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads the affinity mask through sched_getaffinity";
+#else
+  // A fresh caller whose team fits on its CPUs, so workers may move to
+  // spread out; a move must never leave a worker with a narrowed mask.
+  std::thread caller([] {
+    cpu_set_t start;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(start), &start), 0);
+    if (CPU_COUNT(&start) < 3) GTEST_SKIP() << "needs 3 CPUs to spread";
+    constexpr std::uint32_t kWorkers = 2;
+    for (int run = 0; run < 50; ++run) {
+      cpu_set_t seen[kWorkers];
+      exec::team_run(kWorkers, false, [&](std::uint32_t id) {
+        sched_getaffinity(0, sizeof(seen[id]), &seen[id]);
+      });
+      for (std::uint32_t id = 0; id < kWorkers; ++id)
+        ASSERT_TRUE(CPU_EQUAL(&seen[id], &start))
+            << "worker " << id << " in run " << run;
     }
   });
   caller.join();
